@@ -14,8 +14,7 @@ from .graph import (SubgraphMask, WeightedGraph, boundary_matrix,
                     enumerate_spanning_trees, fundamental_cut,
                     fundamental_cycle, grid_graph, min_index_spanning_tree,
                     quotient_by_forest)
-from .linalg import (Subspace, gram_det, j_x, j_x_inv, orthogonal_projection,
-                     schur_split_det, weighted_inner)
+from .linalg import gram_det, j_x, schur_split_det
 from .matroid import LinearMatroid, from_matrix, matroid_kernel, theorem_measure
 from .measures import (MeasureSpec, SubgraphWeight, build_kernel, crsf_weight,
                        cycle_weight, dual_transport, forest_weight,
@@ -27,18 +26,18 @@ from .polynomials import (generalized_A, generalized_C, green_height_pairing,
 
 __all__ = [
     "ProjectionKernel", "SubgraphMask", "WeightedGraph", "MeasureSpec",
-    "SubgraphWeight", "LinearMatroid", "PlanarDual", "Subspace",
+    "SubgraphWeight", "LinearMatroid", "PlanarDual",
     "boundary_matrix", "build_kernel", "complete_graph", "condition_inside",
     "crsf_weight", "cut_space_basis", "cycle_space_basis", "cycle_weight",
     "density", "dual_transport", "enumerate_spanning_trees", "forest_weight",
     "from_matrix", "fundamental_cut", "fundamental_cycle",
     "generalized_A", "generalized_C", "generating_function", "gram_det",
     "green_height_pairing", "grid_graph", "inclusion_probability", "j_x",
-    "j_x_inv", "kirchhoff_T", "matroid_kernel", "min_index_spanning_tree",
-    "orthogonal_projection", "planar_dual", "quotient_by_forest", "sample",
+    "kirchhoff_T", "matroid_kernel", "min_index_spanning_tree",
+    "planar_dual", "quotient_by_forest", "sample",
     "sample_batch", "sample_subgraph", "schur_split_det",
     "stability_spot_check", "symanzik_psi1", "symanzik_psi2",
-    "theorem_measure", "torus_volume", "weighted_inner",
+    "theorem_measure", "torus_volume",
 ]
 
 __version__ = "0.1.0"

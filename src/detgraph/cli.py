@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dpp, measures, oracle, polynomials
 from .errors import (DegenerateForms, DetgraphError, ImpossibleCondition,
-                     NumericDegeneracy, RankDeficient)
+                     MalformedInput, NumericDegeneracy, RankDeficient)
 from .graph import WeightedGraph, grid_graph
 from .measures import MeasureSpec
 from .render import RenderStyle, render_svg
@@ -39,38 +39,12 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
+def _forms(args) -> dict[str, np.ndarray] | None:
+    return measures.forms_from_json(Path(args.forms).read_text()) if args.forms else None
+
+
 def _spec_from_args(g: WeightedGraph, args) -> MeasureSpec:
-    forms: dict[str, np.ndarray] = {}
-    if getattr(args, "forms", None):
-        forms = measures.forms_from_json(Path(args.forms).read_text())
-    variant = args.measure
-    k = getattr(args, "k", 0) or 0
-    l = getattr(args, "l", 0) or 0
-    seed = getattr(args, "seed", 0) or 0
-    if variant == "ust":
-        return MeasureSpec.ust()
-    if variant == "connected":
-        theta = forms.get("theta")
-        if theta is None:
-            theta = measures.random_theta(g, k, seed)
-        return MeasureSpec.connected_k(theta)
-    if variant == "forest":
-        phi = forms.get("phi")
-        if phi is None:
-            phi = measures.random_phi(g, k, seed)
-        return MeasureSpec.forest_k(phi)
-    if variant == "crsf":
-        conn = forms.get("connection")
-        if conn is None:
-            conn = measures.random_connection(g, seed)
-        return MeasureSpec.crsf(conn)
-    phi = forms.get("phi")
-    theta = forms.get("theta")
-    if phi is None:
-        phi = measures.random_phi(g, k, seed)
-    if theta is None:
-        theta = measures.random_theta(g, l, seed)
-    return MeasureSpec.mixed(phi, theta)
+    return measures.random_spec(g, args.measure, args.k, args.l, args.seed, _forms(args))
 
 
 def _cmd_gen_grid(args) -> int:
@@ -108,9 +82,6 @@ def _parse_vector(text: str | None, size: int, name: str) -> np.ndarray | None:
 
 def _cmd_poly(args) -> int:
     g = _read_graph(args.graph)
-    forms: dict[str, np.ndarray] = {}
-    if args.forms:
-        forms = measures.forms_from_json(Path(args.forms).read_text())
     x = _parse_vector(args.weights, g.num_edges, "--weights")
     which = args.which
     method = "determinant"
@@ -124,15 +95,11 @@ def _cmd_poly(args) -> int:
             raise DetgraphError("psi2 needs --q")
         value = polynomials.symanzik_psi2(g, g.weights if x is None else x, q)
     elif which == "C":
-        theta = forms.get("theta")
-        if theta is None:
-            theta = measures.random_theta(g, args.k, args.seed)
-        value = polynomials.generalized_C(g, x, theta)
+        spec = measures.random_spec(g, "connected", args.k, 0, args.seed, _forms(args))
+        value = polynomials.generalized_C(g, x, spec.theta)
     elif which == "A":
-        phi = forms.get("phi")
-        if phi is None:
-            phi = measures.random_phi(g, args.k, args.seed)
-        value = polynomials.generalized_A(g, x, phi)
+        spec = measures.random_spec(g, "forest", args.k, 0, args.seed, _forms(args))
+        value = polynomials.generalized_A(g, x, spec.phi)
     else:
         raise DetgraphError(f"unknown polynomial {which!r}")
     value = complex(value)
@@ -153,7 +120,11 @@ def _cmd_render(args) -> int:
     g = _read_graph(args.graph)
     payload = json.loads(Path(args.sample).read_text())
     samples = payload["samples"] if "samples" in payload else [payload]
-    edges = samples[args.index]
+    try:
+        edges = samples[args.index]
+    except IndexError:
+        raise MalformedInput(
+            f"--index {args.index} is out of range for {len(samples)} samples") from None
     style = RenderStyle(thicken=args.style)
     svg = render_svg(g, edges, style, rows=args.rows, cols=args.cols)
     _write(args.output, svg)
@@ -176,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_measure_flags(p):
         p.add_argument("--graph", required=True)
         p.add_argument("--measure", required=True,
-                       choices=["ust", "connected", "forest", "crsf", "mixed"])
+                       choices=measures.VARIANTS)
         p.add_argument("--k", type=int, default=0)
         p.add_argument("--l", type=int, default=0)
         p.add_argument("--forms", default=None,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as _rng
-from .errors import ImpossibleCondition, NumericDegeneracy
+from .errors import ImpossibleCondition, MalformedInput, NumericDegeneracy
 from .linalg import orthonormalize
 
 KERNEL_TOL = 1e-10
@@ -73,6 +73,8 @@ class ProjectionKernel:
         payload = json.loads(text)
         pairs = np.asarray(payload["matrix"], dtype=float)
         n = round(len(pairs) ** 0.5)
+        if pairs.shape != (n * n, 2):
+            raise MalformedInput(f"kernel matrix needs n*n [re, im] pairs, got {pairs.shape}")
         m = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
         return ProjectionKernel(m, payload["rank"])
 

@@ -35,3 +35,7 @@ class ImpossibleCondition(DetgraphError, ValueError):
 
 class NumericDegeneracy(DetgraphError, RuntimeError):
     """A numerical quantity left its admissible range beyond repair."""
+
+
+class MalformedInput(DetgraphError, ValueError):
+    """Input data (a JSON document or an argument) lacks the expected structure."""

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EnumerationCapExceeded, ForestHasCycle, NotASpanningTree
+from .errors import EnumerationCapExceeded, ForestHasCycle, MalformedInput, NotASpanningTree
 
 DEFAULT_ENUM_CAP = 20
 
@@ -148,9 +148,14 @@ class WeightedGraph:
     @staticmethod
     def from_json(text: str) -> "WeightedGraph":
         payload = json.loads(text)
-        edges = [(e["tail"], e["head"]) for e in payload["edges"]]
-        weights = [e.get("weight", 1.0) for e in payload["edges"]]
-        return WeightedGraph(payload["num_vertices"], edges, weights)
+        try:
+            edges = [(e["tail"], e["head"]) for e in payload["edges"]]
+            weights = [e.get("weight", 1.0) for e in payload["edges"]]
+            num_vertices = payload["num_vertices"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise MalformedInput(
+                f"graph JSON needs num_vertices and edges with tail and head: {exc!r}") from exc
+        return WeightedGraph(num_vertices, edges, weights)
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,16 +203,8 @@ class SubgraphMask:
     def is_spanning_tree(self) -> bool:
         return self.b0 == 1 and self.b1 == 0
 
-    def is_spanning_forest(self) -> bool:
-        return self.b1 == 0
-
     def is_connected(self) -> bool:
         return self.b0 == 1
-
-    def indicator(self) -> np.ndarray:
-        v = np.zeros(self.graph.num_edges, dtype=bool)
-        v[list(self.edge_set)] = True
-        return v
 
     def weight_monomial(self) -> float:
         """Product of the weights of the edges in the mask."""

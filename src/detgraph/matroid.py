@@ -22,7 +22,7 @@ import numpy as np
 from .dpp import ProjectionKernel
 from .errors import DegenerateForms, EnumerationCapExceeded, ImpossibleCondition, RankDeficient
 from .graph import enumeration_cap
-from .linalg import orthonormalize
+from .linalg import gram_det, orthonormalize
 
 SVD_RTOL = 1e-10
 CONDITION_WARN = 1e-8
@@ -270,8 +270,7 @@ def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
         minor = np.linalg.det(jz[rows_j, :]) if rows_j else 1.0 + 0j
         num += float(np.prod(x[rows_j])) * float(abs(minor) ** 2)
     jzk = np.conj(zk) / x[:, None]
-    gram = np.einsum("e,ei,ej->ij", x, jzk.conj(), jzk)
-    den = float(np.linalg.det(gram).real) if gram.size else 1.0
+    den = gram_det(x, jzk)
     comp_mono = float(np.prod(x[comp])) if comp else 1.0
     via_wedge = comp_mono * num / den
     return via_basis, via_wedge
@@ -295,20 +294,14 @@ def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
     """
     x = m.weights if x is None else np.asarray(x, dtype=float)
     img = _image_frame(m)
-    gram_b = np.einsum("e,ei,ej->ij", x.astype(complex), img.conj(), img)
-    b_val = float(np.linalg.det(gram_b).real) if gram_b.size else 1.0
-
-    jz = np.conj(m.kernel_basis) / x[:, None]
-    gram_k = np.einsum("e,ei,ej->ij", x.astype(complex), jz.conj(), jz)
-    k_raw = float(np.prod(x)) * (float(np.linalg.det(gram_k).real) if gram_k.size else 1.0)
+    b_val = gram_det(x, img)
+    k_raw = float(np.prod(x)) * gram_det(x, np.conj(m.kernel_basis) / x[:, None])
 
     out = {"B": b_val, "K": k_raw, "normalization": scale_to_match_B(m)}
     if theta is not None:
         theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
         if theta.shape[1]:
-            fam = np.hstack([img, theta])
-            gram_l = np.einsum("e,ei,ej->ij", x.astype(complex), fam.conj(), fam)
-            l_val = float(np.linalg.det(gram_l).real)
+            l_val = gram_det(x, np.hstack([img, theta]))
         else:
             l_val = b_val
         out["L"] = l_val
@@ -318,12 +311,8 @@ def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
 def scale_to_match_B(m: LinearMatroid) -> float:
     """Scalar s so that s^2 K(Z, .) agrees with B; applied to one kernel column."""
     ones = np.ones(m.ground_size)
-    img = _image_frame(m)
-    gram_b = np.einsum("e,ei,ej->ij", ones.astype(complex), img.conj(), img)
-    b1 = float(np.linalg.det(gram_b).real) if gram_b.size else 1.0
-    jz = np.conj(m.kernel_basis)
-    gram_k = np.einsum("e,ei,ej->ij", ones.astype(complex), jz.conj(), jz)
-    k1 = float(np.linalg.det(gram_k).real) if gram_k.size else 1.0
+    b1 = gram_det(ones, _image_frame(m))
+    k1 = gram_det(ones, np.conj(m.kernel_basis))
     if k1 <= 0:
         raise RankDeficient("kernel basis is degenerate")
     return float(np.sqrt(b1 / k1))

@@ -16,23 +16,26 @@ edge set in the omega basis:
              x^S prod_cycles |1 - holonomy|^2
   mixed      both constraints at once: k chains and l forms, samples have
              Euler characteristic k - l + 1 (no closed-form weight evaluator)
+
+Everything that differs between the variants (sample size, frame builder,
+support law, weight evaluator, forms) is data in VARIANT_TABLE; the rest of
+the library reads a variant only through its entry there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable, Collection
 
 import numpy as np
 
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
-from .errors import DegenerateForms
+from .errors import DegenerateForms, MalformedInput
 from .graph import (SubgraphMask, WeightedGraph, fundamental_cycle,
                     min_index_spanning_tree)
 from .linalg import j_x_columns, orthonormalize, to_omega
-
-VARIANTS = ("ust", "connected", "forest", "crsf", "mixed")
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,8 +50,7 @@ class MeasureSpec:
     connection: np.ndarray | None = None  # unit complex numbers per edge
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        variant_of(self.variant)
         if self.k < 0 or self.l < 0:
             raise ValueError("k and l must be nonnegative")
 
@@ -58,40 +60,22 @@ class MeasureSpec:
 
     @staticmethod
     def connected_k(theta: np.ndarray) -> "MeasureSpec":
-        theta = np.asarray(theta, dtype=complex)
-        if theta.ndim == 1:
-            theta = theta[:, None]
-        return MeasureSpec("connected", k=theta.shape[1], theta=theta)
+        return _spec_from_forms("connected", {"theta": theta})
 
     @staticmethod
     def forest_k(phi: np.ndarray) -> "MeasureSpec":
-        phi = np.asarray(phi, dtype=complex)
-        if phi.ndim == 1:
-            phi = phi[:, None]
-        return MeasureSpec("forest", k=phi.shape[1], phi=phi)
+        return _spec_from_forms("forest", {"phi": phi})
 
     @staticmethod
     def crsf(connection: np.ndarray) -> "MeasureSpec":
-        return MeasureSpec("crsf", connection=np.asarray(connection, dtype=complex))
+        return _spec_from_forms("crsf", {"connection": connection})
 
     @staticmethod
     def mixed(phi: np.ndarray, theta: np.ndarray) -> "MeasureSpec":
-        phi = np.asarray(phi, dtype=complex)
-        theta = np.asarray(theta, dtype=complex)
-        return MeasureSpec("mixed", k=phi.shape[1], l=theta.shape[1],
-                           phi=phi, theta=theta)
+        return _spec_from_forms("mixed", {"phi": phi, "theta": theta})
 
     def expected_rank(self, g: WeightedGraph) -> int:
-        n = g.num_vertices
-        if self.variant == "ust":
-            return n - 1
-        if self.variant == "connected":
-            return n - 1 + self.k
-        if self.variant == "forest":
-            return n - 1 - self.k
-        if self.variant == "crsf":
-            return n
-        return n - 1 - self.k + self.l
+        return VARIANT_TABLE[self.variant].size(g.num_vertices, self.k, self.l)
 
 
 @dataclass(frozen=True)
@@ -141,28 +125,13 @@ def _forest_core_frame(g: WeightedGraph, x: np.ndarray, phi: np.ndarray) -> np.n
 
 def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
     """Projection kernel of the requested measure, in the omega basis."""
-    x = g.weights
+    variant = VARIANT_TABLE[spec.variant]
+    for key, count in variant.forms.items():
+        shape = (g.num_edges,) if count is None else (g.num_edges, getattr(spec, count))
+        if np.shape(getattr(spec, key)) != shape:
+            raise DegenerateForms(f"{spec.variant} measure needs {key} of shape {shape}")
     expected = spec.expected_rank(g)
-    if spec.variant == "ust":
-        frame = _frame_exact_forms(g, x)
-    elif spec.variant == "connected":
-        if spec.theta is None or spec.theta.shape != (g.num_edges, spec.k):
-            raise DegenerateForms("connected measure needs num_edges x k forms")
-        frame = orthonormalize(np.hstack([
-            _frame_exact_forms(g, x), to_omega(x, spec.theta)]))
-    elif spec.variant == "forest":
-        if spec.phi is None or spec.phi.shape != (g.num_edges, spec.k):
-            raise DegenerateForms("forest measure needs num_edges x k chains")
-        frame = _forest_core_frame(g, x, spec.phi)
-    elif spec.variant == "crsf":
-        if spec.connection is None:
-            raise DegenerateForms("crsf measure needs a connection")
-        frame = orthonormalize(to_omega(x, twisted_differential(g, spec.connection)))
-    else:  # mixed
-        if spec.phi is None or spec.theta is None:
-            raise DegenerateForms("mixed measure needs chains and forms")
-        core = _forest_core_frame(g, x, spec.phi)
-        frame = orthonormalize(np.hstack([core, to_omega(x, spec.theta)]))
+    frame = variant.frame(g, g.weights, spec)
     if frame.shape[1] != expected:
         raise DegenerateForms(
             f"{spec.variant} kernel has rank {frame.shape[1]}, expected {expected}")
@@ -271,7 +240,7 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     """
     h = np.asarray(connection, dtype=complex)
     labels = np.array(mask.component_labels())
-    comp_b1 = _per_component_b1(g, mask, labels)
+    comp_b1 = _per_component_b1(g, mask.edge_set, labels)
     if any(b > 1 for b in comp_b1):
         raise ValueError("component with two or more independent cycles")
     mono = mask.weight_monomial()
@@ -286,14 +255,14 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     return SubgraphWeight(topo * mono, mono, topo)
 
 
-def _per_component_b1(g: WeightedGraph, mask: SubgraphMask, labels: np.ndarray) -> list[int]:
-    edge_count = [0] * mask.b0
-    vertex_count = [0] * mask.b0
-    for i in mask.edge_set:
-        edge_count[labels[g.edges[i][0]]] += 1
-    for v in range(g.num_vertices):
-        vertex_count[labels[v]] += 1
-    return [e - v + 1 for e, v in zip(edge_count, vertex_count)]
+def _per_component_b1(g: WeightedGraph, edges: Collection[int], labels) -> list[int]:
+    """First Betti number of each component of an edge set, from its vertex labels."""
+    b1 = [1] * (max(labels) + 1)
+    for label in labels:
+        b1[label] -= 1
+    for i in edges:
+        b1[labels[g.edges[i][0]]] += 1
+    return b1
 
 
 def _cycle_holonomy(g: WeightedGraph, cycle_edges: list[int], h: np.ndarray) -> complex:
@@ -326,28 +295,6 @@ def _cycle_holonomy(g: WeightedGraph, cycle_edges: list[int], h: np.ndarray) -> 
     return complex(hol)
 
 
-def dual_transport(g: WeightedGraph, faces, spec: MeasureSpec):
-    """Move a measure across planar duality.
-
-    A forest measure on the primal becomes a connected measure on the dual
-    with inverted weights and coefficientwise-transported forms (and back);
-    the two measures correspond under complementation of edge sets.  Returns
-    (dual graph with inverted weights, transported spec, PlanarDual).
-    """
-    from .planar import planar_dual
-    pd = planar_dual(g, faces)
-    dual_inv = pd.dual.inverted_weights()
-    if spec.variant == "ust":
-        out = MeasureSpec.ust()
-    elif spec.variant == "forest":
-        out = MeasureSpec.connected_k(np.asarray(spec.phi, dtype=complex))
-    elif spec.variant == "connected":
-        out = MeasureSpec.forest_k(np.asarray(spec.theta, dtype=complex))
-    else:
-        raise ValueError(f"no duality transport for variant {spec.variant!r}")
-    return dual_inv, out, pd
-
-
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
     """k real forms drawn uniformly from the unit sphere (theta stream)."""
     gen = _rng.stream(seed, _rng.TAG_THETA)
@@ -368,34 +315,142 @@ def random_connection(g: WeightedGraph, seed: int) -> np.ndarray:
     return np.exp(2j * np.pi * gen.random(g.num_edges))
 
 
-def random_spec(g: WeightedGraph, variant: str, k: int, l: int, seed: int) -> MeasureSpec:
-    """Spec with forms drawn from the seed, mirroring the sampler's streams."""
-    if variant == "ust":
-        return MeasureSpec.ust()
-    if variant == "connected":
-        return MeasureSpec.connected_k(random_theta(g, k, seed))
-    if variant == "forest":
-        return MeasureSpec.forest_k(random_phi(g, k, seed))
-    if variant == "crsf":
-        return MeasureSpec.crsf(random_connection(g, seed))
-    if variant == "mixed":
-        return MeasureSpec.mixed(random_phi(g, k, seed), random_theta(g, l, seed))
-    raise ValueError(f"unknown variant {variant!r}")
+# seeded draw of each kind of form, from (graph, column count, seed)
+_DRAWS = {
+    "theta": random_theta,
+    "phi": random_phi,
+    "connection": lambda g, _count, seed: random_connection(g, seed),
+}
+
+# planar duality transports coefficients: primal chains are dual forms
+_DUAL_FORM = {"theta": "phi", "phi": "theta"}
+
+
+def _betti(edges: Collection[int], labels) -> tuple[int, int]:
+    b0 = max(labels) + 1
+    return b0, len(edges) - len(labels) + b0
+
+
+def _mixed_law(g, edges, labels, k, l) -> bool:
+    b0, b1 = _betti(edges, labels)
+    return b0 - b1 == k - l + 1 and max(0, l - k) <= b1 <= l
+
+
+@dataclass(frozen=True)
+class Variant:
+    """What one measure variant is made of."""
+
+    size: Callable[[int, int, int], int]          # sample size from (|V|, k, l)
+    frame: Callable[..., np.ndarray]              # (g, x, spec) -> omega frame of the range
+    # support law: (g, edge indices, component label per vertex, k, l) ->
+    # bool, on integer topology only so the oracle can filter raw subsets
+    support: Callable[..., bool]
+    weight: Callable[..., float] | None           # (g, mask, spec) -> weight, if closed form
+    forms: dict[str, str | None]                  # spec field -> its column count (k or l)
+    family: str                                   # oracle family enumerating the support
+    dual: str | None = None                       # variant under planar duality
+
+
+VARIANT_TABLE: dict[str, Variant] = {
+    "ust": Variant(
+        size=lambda n, k, l: n - 1,
+        frame=lambda g, x, spec: _frame_exact_forms(g, x),
+        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (1, 0),
+        weight=lambda g, mask, spec: mask.weight_monomial(),
+        forms={}, family="connected", dual="ust"),
+    "connected": Variant(
+        size=lambda n, k, l: n - 1 + k,
+        frame=lambda g, x, spec: orthonormalize(np.hstack([
+            _frame_exact_forms(g, x), to_omega(x, spec.theta)])),
+        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (1, k),
+        weight=lambda g, mask, spec: cycle_weight(g, mask, spec.theta).value,
+        forms={"theta": "k"}, family="connected", dual="forest"),
+    "forest": Variant(
+        size=lambda n, k, l: n - 1 - k,
+        frame=lambda g, x, spec: _forest_core_frame(g, x, spec.phi),
+        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (k + 1, 0),
+        weight=lambda g, mask, spec: forest_weight(g, mask, spec.phi).value,
+        forms={"phi": "k"}, family="forest", dual="connected"),
+    "crsf": Variant(
+        size=lambda n, k, l: n,
+        frame=lambda g, x, spec: orthonormalize(
+            to_omega(x, twisted_differential(g, spec.connection))),
+        support=lambda g, edges, labels, k, l: all(
+            b == 1 for b in _per_component_b1(g, edges, labels)),
+        weight=lambda g, mask, spec: crsf_weight(g, mask, spec.connection).value,
+        forms={"connection": None}, family="crsf"),
+    "mixed": Variant(
+        size=lambda n, k, l: n - 1 - k + l,
+        frame=lambda g, x, spec: orthonormalize(np.hstack([
+            _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)])),
+        support=_mixed_law,
+        weight=None,
+        forms={"phi": "k", "theta": "l"}, family="mixed"),
+}
+VARIANTS = tuple(VARIANT_TABLE)
+
+
+def variant_of(name: str) -> Variant:
+    """Table entry of a variant; ValueError for an unknown name."""
+    try:
+        return VARIANT_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown variant {name!r}") from None
+
+
+def _spec_from_forms(variant: str, forms: dict) -> MeasureSpec:
+    """Spec of a variant from its forms, with k and l read off their column counts.
+
+    A single form or chain may be given as a vector.
+    """
+    forms = {key: np.asarray(value, dtype=complex) for key, value in forms.items()}
+    counts = {}
+    for key, count in VARIANT_TABLE[variant].forms.items():
+        if count:
+            forms[key] = forms[key].reshape(len(forms[key]), -1)
+            counts[count] = forms[key].shape[1]
+    return MeasureSpec(variant, **counts, **forms)
+
+
+def dual_transport(g: WeightedGraph, faces, spec: MeasureSpec):
+    """Move a measure across planar duality.
+
+    A forest measure on the primal becomes a connected measure on the dual
+    with inverted weights and coefficientwise-transported forms (and back);
+    the two measures correspond under complementation of edge sets.  Returns
+    (dual graph with inverted weights, transported spec, PlanarDual).
+    """
+    from .planar import planar_dual
+    pd = planar_dual(g, faces)
+    dual_inv = pd.dual.inverted_weights()
+    variant = VARIANT_TABLE[spec.variant]
+    if variant.dual is None:
+        raise ValueError(f"no duality transport for variant {spec.variant!r}")
+    out = _spec_from_forms(variant.dual, {_DUAL_FORM[key]: getattr(spec, key)
+                                          for key in variant.forms})
+    return dual_inv, out, pd
+
+
+def random_spec(g: WeightedGraph, variant: str, k: int, l: int, seed: int,
+                forms: dict[str, np.ndarray] | None = None) -> MeasureSpec:
+    """Spec with forms drawn from the seed, mirroring the sampler's streams.
+
+    Forms present in `forms` (as returned by forms_from_json) are used
+    instead of drawn; k and l then come from their column counts.
+    """
+    counts = {"k": k, "l": l}
+    forms = forms or {}
+    chosen = {}
+    for key, count in variant_of(variant).forms.items():
+        value = forms.get(key)
+        chosen[key] = _DRAWS[key](g, counts.get(count), seed) if value is None else value
+    return _spec_from_forms(variant, chosen)
 
 
 def sample_in_support(spec: MeasureSpec, mask: SubgraphMask) -> bool:
     """Whether a sample satisfies the topological support law of its measure."""
-    if spec.variant == "ust":
-        return mask.is_spanning_tree()
-    if spec.variant == "connected":
-        return mask.is_connected() and mask.b1 == spec.k
-    if spec.variant == "forest":
-        return mask.b1 == 0 and mask.b0 == spec.k + 1
-    if spec.variant == "crsf":
-        labels = np.array(mask.component_labels())
-        return all(b == 1 for b in _per_component_b1(mask.graph, mask, labels))
-    chi = mask.b0 - mask.b1
-    return chi == spec.k - spec.l + 1 and max(0, spec.l - spec.k) <= mask.b1 <= spec.l
+    return VARIANT_TABLE[spec.variant].support(
+        mask.graph, mask.edge_set, mask.component_labels(), spec.k, spec.l)
 
 
 def forms_to_json(theta=None, phi=None, connection=None) -> str:
@@ -414,13 +469,26 @@ def forms_to_json(theta=None, phi=None, connection=None) -> str:
     return json.dumps(payload)
 
 
+def _complex_pairs(value, depth: int, key: str) -> np.ndarray:
+    """Complex array from [re, im] pairs nested `depth` lists deep."""
+    try:
+        pairs = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"forms {key!r} is not an array of [re, im] pairs") from exc
+    if pairs.ndim != depth + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
+        raise MalformedInput(f"forms {key!r} needs a nonempty {depth}-deep list "
+                             f"of [re, im] pairs, got shape {pairs.shape}")
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
 def forms_from_json(text: str) -> dict[str, np.ndarray]:
     payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise MalformedInput("forms JSON must be an object")
     out: dict[str, np.ndarray] = {}
     for key in ("theta", "phi"):
         if key in payload:
-            cols = [np.array([re + 1j * im for re, im in col]) for col in payload[key]]
-            out[key] = np.column_stack(cols)
+            out[key] = np.column_stack(_complex_pairs(payload[key], 2, key))
     if "connection" in payload:
-        out["connection"] = np.array([re + 1j * im for re, im in payload["connection"]])
+        out["connection"] = _complex_pairs(payload["connection"], 1, "connection")
     return out

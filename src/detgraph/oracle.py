@@ -56,81 +56,35 @@ def _check_cap(g: WeightedGraph, cap: int | None) -> None:
             f"{g.num_edges} edges exceeds enumeration cap {cap}")
 
 
-def _betti(g: WeightedGraph, subset: tuple[int, ...]) -> tuple[int, int]:
-    labels = components_of(g.num_vertices, (g.edges[i] for i in subset))
-    b0 = max(labels) + 1
-    return b0, len(subset) - g.num_vertices + b0
-
-
 def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0,
                      cap: int | None = None) -> list[SubgraphMask]:
-    """Exact subgraph family by exhaustive (b0, b1)-filtering.
+    """Exact subgraph family by exhaustive filtering with a support law.
 
-    family is one of "connected" (b1 = k, connected spanning), "forest"
-    (acyclic, k+1 components), "crsf" (every component unicyclic), or
-    "mixed" (Euler characteristic k-l+1 with the b1 window).
+    family is a variant name of measures.VARIANT_TABLE: "connected" (b1 = k,
+    connected spanning; "ust" is its k = 0 case), "forest" (acyclic, k+1
+    components), "crsf" (every component unicyclic), or "mixed" (Euler
+    characteristic k-l+1 with the b1 window).
     """
     _check_cap(g, cap)
-    n = g.num_vertices
-    if family == "connected":
-        size, cond = n - 1 + k, lambda b0, b1: b0 == 1 and b1 == k
-    elif family == "forest":
-        size, cond = n - 1 - k, lambda b0, b1: b0 == k + 1 and b1 == 0
-    elif family == "crsf":
-        size = n
-        cond = None
-    elif family == "mixed":
-        size = n - 1 - k + l
-        cond = (lambda b0, b1: b0 - b1 == k - l + 1
-                and max(0, l - k) <= b1 <= l)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    variant = measures.variant_of(family)
+    size = variant.size(g.num_vertices, k, l)
     if size < 0 or size > g.num_edges:
         return []
+    support = variant.support
     out = []
     for subset in itertools.combinations(range(g.num_edges), size):
-        if family == "crsf":
-            if _all_components_unicyclic(g, subset):
-                out.append(g.mask(subset))
-        else:
-            b0, b1 = _betti(g, subset)
-            if cond(b0, b1):
-                out.append(g.mask(subset))
+        labels = components_of(g.num_vertices, (g.edges[i] for i in subset))
+        if support(g, subset, labels, k, l):
+            out.append(g.mask(subset))
     return out
-
-
-def _all_components_unicyclic(g: WeightedGraph, subset: tuple[int, ...]) -> bool:
-    labels = components_of(g.num_vertices, (g.edges[i] for i in subset))
-    ncomp = max(labels) + 1
-    edges = [0] * ncomp
-    verts = [0] * ncomp
-    for i in subset:
-        edges[labels[g.edges[i][0]]] += 1
-    for v in range(g.num_vertices):
-        verts[labels[v]] += 1
-    return all(e == v for e, v in zip(edges, verts))
-
-
-def family_for_spec(g: WeightedGraph, spec: measures.MeasureSpec,
-                    cap: int | None = None) -> list[SubgraphMask]:
-    if spec.variant == "ust":
-        return enumerate_family(g, "connected", k=0, cap=cap)
-    if spec.variant in ("connected", "forest", "mixed"):
-        return enumerate_family(g, spec.variant, k=spec.k, l=spec.l, cap=cap)
-    return enumerate_family(g, "crsf", cap=cap)
 
 
 def combinatorial_weight(g: WeightedGraph, spec: measures.MeasureSpec,
                          mask: SubgraphMask) -> float:
-    if spec.variant == "ust":
-        return mask.weight_monomial()
-    if spec.variant == "connected":
-        return measures.cycle_weight(g, mask, spec.theta).value
-    if spec.variant == "forest":
-        return measures.forest_weight(g, mask, spec.phi).value
-    if spec.variant == "crsf":
-        return measures.crsf_weight(g, mask, spec.connection).value
-    raise ValueError("mixed weights have no closed-form evaluator")
+    weight = measures.VARIANT_TABLE[spec.variant].weight
+    if weight is None:
+        raise ValueError(f"{spec.variant} weights have no closed-form evaluator")
+    return weight(g, mask, spec)
 
 
 def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
@@ -144,7 +98,8 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
     start = time.monotonic()
     _check_cap(g, cap)
     kernel = measures.build_kernel(g, spec)
-    fam = family_for_spec(g, spec, cap=cap)
+    fam = enumerate_family(g, measures.VARIANT_TABLE[spec.variant].family,
+                           k=spec.k, l=spec.l, cap=cap)
     weights = {m.indices: combinatorial_weight(g, spec, m) for m in fam}
     total = sum(weights.values())
     report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
@@ -156,7 +111,7 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
         report.max_density_error = max(report.max_density_error, abs(dens - w))
         if subset not in fam_keys and dens > tolerance:
             report.support_mismatches.append(subset)
-        if subset in fam_keys and weights[subset] > tolerance and dens <= 0.0:
+        if subset in fam_keys and w > tolerance and dens <= 0.0:
             report.support_mismatches.append(subset)
     report.runtime = time.monotonic() - start
     return report
@@ -202,32 +157,22 @@ def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray,
 
 def connected_poly_sum(g: WeightedGraph, x: np.ndarray | None,
                        theta: np.ndarray, cap: int | None = None) -> float:
-    x = g.weights if x is None else np.asarray(x)
-    theta = np.asarray(theta, dtype=complex).reshape(g.num_edges, -1)
-    gx = WeightedGraph(g.num_vertices, g.edges, np.asarray(x, dtype=float))
-    total = 0.0
-    for mask in enumerate_family(gx, "connected", k=theta.shape[1], cap=cap):
-        total += measures.cycle_weight(gx, mask, theta).value
-    return total
+    return _weight_sum(g, x, measures.MeasureSpec.connected_k(theta), cap)
 
 
 def forest_poly_sum(g: WeightedGraph, x: np.ndarray | None,
                     phi: np.ndarray, cap: int | None = None) -> float:
-    x = g.weights if x is None else np.asarray(x)
-    phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
-    gx = WeightedGraph(g.num_vertices, g.edges, np.asarray(x, dtype=float))
-    total = 0.0
-    for mask in enumerate_family(gx, "forest", k=phi.shape[1], cap=cap):
-        total += measures.forest_weight(gx, mask, phi).value
-    return total
+    return _weight_sum(g, x, measures.MeasureSpec.forest_k(phi), cap)
 
 
-def crsf_poly_sum(g: WeightedGraph, connection: np.ndarray,
-                  cap: int | None = None) -> float:
-    total = 0.0
-    for mask in enumerate_family(g, "crsf", cap=cap):
-        total += measures.crsf_weight(g, mask, connection).value
-    return total
+def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSpec,
+                cap: int | None) -> float:
+    """Defining sum of a measure's partition function at weights x."""
+    gx = WeightedGraph(g.num_vertices, g.edges,
+                       np.asarray(g.weights if x is None else x, dtype=float))
+    weight = measures.VARIANT_TABLE[spec.variant].weight
+    return sum(weight(gx, mask, spec)
+               for mask in enumerate_family(gx, spec.variant, k=spec.k, cap=cap))
 
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,

@@ -100,16 +100,6 @@ def planar_dual(g: WeightedGraph, faces: list[FaceWalk]) -> PlanarDual:
     return PlanarDual(dual, tuple(dual_faces))
 
 
-def transport_chain_to_dual_form(vector: np.ndarray) -> np.ndarray:
-    """Coefficients of a primal chain as a dual form (identity on coordinates)."""
-    return np.asarray(vector).copy()
-
-
-def transport_form_to_dual_chain(vector: np.ndarray) -> np.ndarray:
-    """Coefficients of a primal form as a dual chain (identity on coordinates)."""
-    return np.asarray(vector).copy()
-
-
 def triangle_embedding() -> tuple[WeightedGraph, list[FaceWalk]]:
     """Triangle 0->1->2->0 with its two sphere faces; handy in tests and demos."""
     g = WeightedGraph(3, [(0, 1), (1, 2), (2, 0)])

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SubgraphMask, WeightedGraph, fundamental_cut, min_index_spanning_tree
-from .linalg import gram_det, j_x_columns, orthonormalize, projector_onto_span, to_omega
+from .linalg import (bilinear_gram_det, gram_det, j_x_columns, orthonormalize,
+                     projector_onto_span, to_omega)
 from .measures import integral_cycle_basis_of
 
 
@@ -79,9 +80,7 @@ def generalized_C(g: WeightedGraph, x: np.ndarray | None, theta: np.ndarray) -> 
     n = g.num_vertices
     frames = _domain_frames_C(g)
     images = np.hstack([g.coboundary.astype(complex) @ frames, theta / np.sqrt(n)])
-    m = np.einsum("e,ei,ej->ij", np.asarray(x, dtype=complex), images.conj(), images)
-    det = np.linalg.det(m) if m.size else 1.0
-    return _realify(n ** (k - 1) * det)
+    return _realify(n ** (k - 1) * bilinear_gram_det(x, images))
 
 
 def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> complex:
@@ -95,11 +94,8 @@ def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> co
     phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
     cycles = integral_cycle_basis_of(g, g.full_mask()).astype(complex)
     fam = np.hstack([cycles, phi])
-    if fam.shape[1] == 0:
-        return _realify(np.prod(np.asarray(x, dtype=complex)) * 1.0)
-    m = np.einsum("e,ei,ej->ij", 1.0 / np.asarray(x, dtype=complex),
-                  fam, fam.conj())
-    return _realify(np.prod(np.asarray(x, dtype=complex)) * np.linalg.det(m))
+    x = np.asarray(x, dtype=complex)
+    return _realify(np.prod(x) * bilinear_gram_det(1.0 / x, fam.conj()))
 
 
 def _realify(z) -> complex:

@@ -177,6 +177,25 @@ class TestRender:
         assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("case", ["render-index", "graph-without-edges", "forms-not-pairs"])
+def test_malformed_input_exits_2_without_traceback(case, grid_file, tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"samples": [[0, 1]], "seed": 0, "rank": 2}))
+    bad_graph = tmp_path / "bad.json"
+    bad_graph.write_text(json.dumps({"num_vertices": 3}))
+    forms = tmp_path / "f.json"
+    forms.write_text(json.dumps({"theta": 5}))
+    argv = {
+        "render-index": ("render", "--graph", str(grid_file), "--sample", str(samples),
+                         "--index", "5"),
+        "graph-without-edges": ("sample", "--graph", str(bad_graph), "--measure", "ust"),
+        "forms-not-pairs": ("sample", "--graph", str(grid_file), "--measure", "connected",
+                            "--k", "1", "--forms", str(forms)),
+    }[case]
+    assert run(*argv, "-o", str(tmp_path / "out")) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestFigureScaleRoundTrip:
     def test_fifteen_grid_all_measures(self, tmp_path):
         import time

@@ -1,10 +1,11 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import detgraph as dg
-from detgraph.errors import ImpossibleCondition
+from detgraph.errors import ImpossibleCondition, MalformedInput
 
 
 @pytest.fixture
@@ -25,6 +26,12 @@ class TestKernelValidation:
     def test_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
             dg.ProjectionKernel(0.5 * np.eye(2))
+
+    def test_json_with_non_square_length_rejected(self, triangle_ust):
+        payload = json.loads(triangle_ust.to_json())
+        payload["matrix"] = payload["matrix"][:-1]
+        with pytest.raises(MalformedInput, match="n\\*n"):
+            dg.ProjectionKernel.from_json(json.dumps(payload))
 
     def test_json_roundtrip(self, triangle_ust):
         back = dg.ProjectionKernel.from_json(triangle_ust.to_json())

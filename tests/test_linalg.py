@@ -2,40 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import detgraph as dg
-from detgraph.errors import RankDeficient
-from detgraph.linalg import (Subspace, bilinear_gram_det, gram_det,
-                             orthonormalize, projector_onto_span, to_omega)
+from detgraph.linalg import (bilinear_gram_det, gram_det, orthonormalize,
+                             projector_onto_span, to_omega)
 
 
 def _random_forms(rng, n, m):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-class TestWeightedInner:
-    def test_unit_basis(self):
-        x = np.ones(3)
-        e0 = np.array([1, 0, 0], dtype=complex)
-        e1 = np.array([0, 1, 0], dtype=complex)
-        assert dg.weighted_inner(x, e0, e0) == 1
-        assert dg.weighted_inner(x, e0, e1) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dg.weighted_inner(np.ones(3), np.ones(3), np.ones(2))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10 ** 6))
-    def test_conjugate_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.uniform(0.1, 3.0, 5)
-        a, b = _random_forms(rng, 5, 2).T
-        lhs = dg.weighted_inner(x, a, b)
-        rhs = np.conj(dg.weighted_inner(x, b, a))
-        assert abs(lhs - rhs) < 1e-12
 
 
 class TestJx:
@@ -43,12 +17,6 @@ class TestJx:
         rng = np.random.default_rng(0)
         c = _random_forms(rng, 4, 1)[:, 0]
         assert np.allclose(dg.j_x(np.ones(4), c), np.conj(c))
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(1)
-        x = rng.uniform(0.5, 2.0, 6)
-        c = _random_forms(rng, 6, 1)[:, 0]
-        assert np.allclose(dg.j_x_inv(x, dg.j_x(x, c)), c)
 
     def test_pairing_identity(self):
         # <j_x e, alpha> equals the evaluation alpha(e)
@@ -58,27 +26,22 @@ class TestJx:
         for e in range(5):
             chain = np.zeros(5)
             chain[e] = 1
-            assert abs(dg.weighted_inner(x, dg.j_x(x, chain), alpha)
-                       - alpha[e]) < 1e-12
+            inner = np.sum(x * np.conj(dg.j_x(x, chain)) * alpha)
+            assert abs(inner - alpha[e]) < 1e-12
 
 
 class TestProjection:
     def test_whole_space(self):
         x = np.array([0.5, 1.5, 2.5])
-        p = dg.orthogonal_projection(x, np.eye(3, dtype=complex))
+        p = projector_onto_span(x, np.eye(3, dtype=complex))
         assert np.allclose(p, np.eye(3))
 
     def test_empty_family_gives_zero(self):
         p = projector_onto_span(np.ones(3), np.zeros((3, 0)))
         assert np.allclose(p, 0)
 
-    def test_rank_deficient_raises(self):
-        cols = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
-        with pytest.raises(RankDeficient):
-            dg.orthogonal_projection(np.ones(3), cols)
-
     def test_ust_subspace_on_triangle(self, triangle):
-        p = dg.orthogonal_projection(
+        p = projector_onto_span(
             np.ones(3), triangle.coboundary[:, 1:].astype(complex))
         assert np.allclose(np.diag(p), 2 / 3)
 
@@ -87,7 +50,7 @@ class TestProjection:
         for m in (1, 3, 5):
             x = rng.uniform(0.2, 3.0, 8)
             cols = _random_forms(rng, 8, m)
-            p = dg.orthogonal_projection(x, cols)
+            p = projector_onto_span(x, cols)
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(p - p.conj().T).max() < 1e-10
             assert abs(np.trace(p).real - m) < 1e-8
@@ -95,10 +58,9 @@ class TestProjection:
     def test_subspace_frame_is_orthonormal(self):
         rng = np.random.default_rng(8)
         x = rng.uniform(0.2, 3.0, 7)
-        s = Subspace(_random_forms(rng, 7, 3), x)
-        gram = s.frame.conj().T @ s.frame
-        assert np.abs(gram - np.eye(3)).max() < 1e-10
-        assert s.dim == 3
+        frame = orthonormalize(to_omega(x, _random_forms(rng, 7, 3)))
+        assert frame.shape[1] == 3
+        assert np.abs(frame.conj().T @ frame - np.eye(3)).max() < 1e-10
 
     def test_projection_trace_equals_vertex_rank(self):
         g = dg.grid_graph(2, 3)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import detgraph as dg
-from detgraph import measures, oracle
+from detgraph import dpp, measures, oracle
 from detgraph.errors import EnumerationCapExceeded
+
+from conftest import random_connected_graph
 
 
 class TestEnumerateFamily:
@@ -73,6 +75,20 @@ class TestCompareMeasure:
         rep = oracle.compare_measure(triangle, dg.MeasureSpec.ust(),
                                      tolerance=-1.0)
         assert not rep.passed
+
+    def test_zero_density_flagged_at_small_weights(self, monkeypatch):
+        # every tree monomial is below the density tolerance at weights near
+        # 1e-4, so only the normalized weight can flag the family member
+        # whose density is forced to zero
+        rng = np.random.default_rng(12)
+        base = random_connected_graph(rng, 12, min_b1=2)
+        g = dg.WeightedGraph(base.num_vertices, base.edges, 1e-4 * base.weights)
+        victim = oracle.enumerate_family(g, "connected", k=0)[0].indices
+        density = dpp.density
+        monkeypatch.setattr(dpp, "density", lambda kernel, subset: (
+            0.0 if tuple(subset) == victim else density(kernel, subset)))
+        rep = oracle.compare_measure(g, dg.MeasureSpec.ust())
+        assert victim in rep.support_mismatches
 
 
 class TestComparePolynomial:
