@@ -84,7 +84,6 @@ def _cmd_poly(args) -> int:
     g = _read_graph(args.graph)
     x = _parse_vector(args.weights, g.num_edges, "--weights")
     which = args.which
-    method = "determinant"
     if which == "T":
         value = polynomials.kirchhoff_T(g, x)
     elif which == "psi1":
@@ -104,7 +103,7 @@ def _cmd_poly(args) -> int:
         raise DetgraphError(f"unknown polynomial {which!r}")
     value = complex(value)
     _write(args.output, json.dumps(
-        {"which": which, "value": [value.real, value.imag], "method": method}))
+        {"which": which, "value": [value.real, value.imag], "method": "determinant"}))
     return EXIT_OK
 
 

@@ -1,15 +1,16 @@
 """Projection determinantal point processes on a finite index set.
 
-A kernel is a Hermitian idempotent matrix in an orthonormal basis indexed by
-the ground set (for graphs: the omega basis over positive edges).  Samples
-always have exactly rank(K) points; densities of full-rank subsets are
-principal minors.
+A kernel is the orthogonal projection onto the span of an orthonormal frame,
+in an orthonormal basis indexed by the ground set (for graphs: the omega
+basis over positive edges).  Samples always have exactly rank(K) points;
+densities of full-rank subsets are principal minors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,22 +20,29 @@ from .linalg import orthonormalize
 
 KERNEL_TOL = 1e-10
 PROB_FLOOR = 1e-14
+_BATCH_BYTES = 1 << 26  # bound on the per-batch Gram-Schmidt columns of sample_batch
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectionKernel:
-    """Hermitian idempotent matrix with its (integer) rank."""
+    """Orthogonal projection onto the span of an orthonormal frame (n x rank).
 
-    matrix: np.ndarray
+    The frame is the one representation; the dense Hermitian idempotent
+    `matrix` = frame @ frame^H is formed on first use (minors, JSON).
+    """
+
+    frame: np.ndarray
     rank: int
 
     def __init__(self, matrix: np.ndarray, rank: int | None = None):
+        """Kernel of a Hermitian idempotent matrix; its frame comes from one eigh."""
         m = np.asarray(matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel must be square")
         if np.abs(m - m.conj().T).max(initial=0.0) > KERNEL_TOL:
             raise ValueError("kernel must be Hermitian")
-        if np.abs(m @ m - m).max(initial=0.0) > KERNEL_TOL:
+        eigvals, eigvecs = np.linalg.eigh(m)
+        if np.abs(eigvals * (eigvals - 1.0)).max(initial=0.0) > KERNEL_TOL:
             raise ValueError("kernel must be idempotent")
         trace = float(np.trace(m).real)
         if rank is None:
@@ -44,13 +52,33 @@ class ProjectionKernel:
         diag = np.diag(m).real
         if diag.min(initial=0.0) < -KERNEL_TOL or diag.max(initial=0.0) > 1 + KERNEL_TOL:
             raise ValueError("kernel diagonal must lie in [0, 1]")
+        frame = eigvecs[:, eigvals > 0.5]
+        for a in (m, frame):
+            a.setflags(write=False)
+        self.__dict__.update(frame=frame, rank=int(rank), matrix=m)  # frozen: bypass setattr
+
+    @classmethod
+    def from_frame(cls, frame: np.ndarray) -> "ProjectionKernel":
+        """Kernel projecting onto the span of orthonormal columns, checked in O(n r^2)."""
+        q = np.array(frame, dtype=complex)
+        if q.ndim != 2:
+            raise ValueError("frame must be a matrix")
+        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > KERNEL_TOL:
+            raise ValueError("frame must be orthonormal")
+        q.setflags(write=False)
+        kernel = cls.__new__(cls)
+        kernel.__dict__.update(frame=q, rank=q.shape[1])
+        return kernel
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = self.frame @ self.frame.conj().T
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "rank", int(rank))
+        return m
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return self.frame.shape[0]
 
     def complement(self) -> "ProjectionKernel":
         """Kernel of the complement process."""
@@ -58,11 +86,7 @@ class ProjectionKernel:
 
     def range_frame(self) -> np.ndarray:
         """Orthonormal basis of the range, as columns."""
-        eigvals, eigvecs = np.linalg.eigh(self.matrix)
-        frame = eigvecs[:, eigvals > 0.5]
-        if frame.shape[1] != self.rank:
-            raise NumericDegeneracy("kernel spectrum does not match rank")
-        return frame
+        return self.frame
 
     def to_json(self) -> str:
         pairs = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
@@ -80,75 +104,56 @@ class ProjectionKernel:
 
 
 def sample(kernel: ProjectionKernel, seed: int) -> frozenset[int]:
-    """One exact sample, deterministic in the seed.
-
-    Iterative conditional sampling: draw an index with probability
-    proportional to the diagonal, project the kernel onto the orthocomplement
-    of the chosen coordinate's image, renormalize, repeat rank times.
-    """
-    gen = _rng.stream(seed, _rng.TAG_SAMPLER)
-    a = np.array(kernel.matrix, dtype=complex)
-    chosen: list[int] = []
-    for _ in range(kernel.rank):
-        probs = np.clip(np.diag(a).real, 0.0, 1.0)
-        if chosen:
-            probs[chosen] = 0.0
-        probs[probs < PROB_FLOOR] = 0.0
-        total = probs.sum()
-        if total <= 0.0:
-            raise NumericDegeneracy("projector drift exhausted the diagonal")
-        i = _rng.categorical(gen, probs / total)
-        chosen.append(i)
-        col = a[:, i].copy()
-        a -= np.outer(col, a[i, :]) / col[i]
-        a = (a + a.conj().T) / 2.0  # renormalize against drift
-    return frozenset(chosen)
+    """One exact sample, deterministic in the seed."""
+    return sample_batch(kernel, seed, 1)[0]
 
 
-def sample_batch(kernel: ProjectionKernel, seed: int, count: int,
-                 chunk: int = 20000) -> list[frozenset[int]]:
+def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozenset[int]]:
     """Independent samples from seeds seed, seed+1, ..., seed+count-1.
 
-    Vectorized across samples but arithmetically identical to calling
-    sample() once per seed: each sample consumes the same Philox stream in
-    the same order, so results agree bit for bit.
+    Chain rule on the frame V (Hough-Krishnapur-Peres-Virag 2006; DPPy's
+    Gram-Schmidt sampler): draw i with probability proportional to the
+    conditional diagonal `norms`, append c = (V V[i]^H - C C[i]^H) / sqrt(c_i)
+    to C, subtract |c|^2 from the norms.  O(n r) per step, vectorized over the
+    batch; sample i reads the Philox stream (seed + i, TAG_SAMPLER) exactly as
+    sample(seed + i) does and repeats its arithmetic, so the two agree.
     """
-    out: list[frozenset[int]] = []
-    for lo in range(0, count, chunk):
-        hi = min(lo + chunk, count)
-        out.extend(_sample_chunk(kernel, seed + lo, hi - lo))
-    return out
+    per = max(1, _BATCH_BYTES // (16 * kernel.size * max(kernel.rank, 1)))
+    return [s for lo in range(0, count, per)
+            for s in _chain_rule(kernel.frame, seed + lo, min(per, count - lo))]
 
 
-def _sample_chunk(kernel: ProjectionKernel, seed: int, count: int) -> list[frozenset[int]]:
-    n, r = kernel.size, kernel.rank
-    if r == 0 or count == 0:
-        return [frozenset() for _ in range(count)]
-    uniforms = np.empty((count, r))
-    for i in range(count):
-        uniforms[i] = _rng.stream(seed + i, _rng.TAG_SAMPLER).random(r)
-    a = np.broadcast_to(kernel.matrix, (count, n, n)).copy()
+def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
+    n, r = v.shape
+    gens = [_rng.stream(seed + b, _rng.TAG_SAMPLER) for b in range(count)]
+    # a lone sample draws step by step; a batch takes each stream's r uniforms at once
+    uniforms = None if count == 1 else np.array([gen.random(r) for gen in gens])
+    norms = np.tile((np.abs(v) ** 2).sum(axis=1), (count, 1))
+    cols = np.empty((count, r, n), dtype=complex)  # C^T, one Gram-Schmidt column per step
     chosen = np.empty((count, r), dtype=np.intp)
-    taken = np.zeros((count, n), dtype=bool)
     rows = np.arange(count)
     for step in range(r):
-        probs = np.clip(np.diagonal(a, axis1=1, axis2=2).real, 0.0, 1.0).copy()
-        probs[taken] = 0.0
+        probs = np.minimum(norms, 1.0)
         probs[probs < PROB_FLOOR] = 0.0
         total = probs.sum(axis=1)
         if np.any(total <= 0.0):
             raise NumericDegeneracy("projector drift exhausted the diagonal")
-        cdf = np.cumsum(probs / total[:, None], axis=1)
-        u = uniforms[:, step] * cdf[:, -1]
-        idx = np.minimum((cdf <= u[:, None]).sum(axis=1), n - 1)
+        probs /= total[:, None]
+        if uniforms is None:
+            idx = np.array([_rng.categorical(gens[0], probs[0])])
+        else:  # rng.categorical's inverse CDF, row by row
+            cdf = np.cumsum(probs, axis=1)
+            idx = np.minimum((cdf <= (uniforms[:, step] * cdf[:, -1])[:, None]).sum(axis=1), n - 1)
         chosen[:, step] = idx
-        taken[rows, idx] = True
-        col = a[rows, :, idx].copy()
-        row = a[rows, idx, :].copy()
-        pivot = col[rows, idx]
-        a -= (col[:, :, None] * row[:, None, :]) / pivot[:, None, None]
-        a = (a + a.conj().swapaxes(1, 2)) / 2.0
-    return [frozenset(int(j) for j in chosen[i]) for i in range(count)]
+        # stacked (1 x r) @ (r x n) products: each sample's arithmetic is
+        # the same whatever the batch size
+        c = (v[idx].conj()[:, None, :] @ v.T
+             - cols[rows, :step, idx].conj()[:, None, :] @ cols[:, :step, :])[:, 0, :]
+        c /= np.sqrt(c[rows, idx].real)[:, None]
+        cols[:, step, :] = c
+        norms -= c.real ** 2 + c.imag ** 2
+        norms[rows, idx] = 0.0  # chosen rows only decrease from here, so stay excluded
+    return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
 
 
 def density(kernel: ProjectionKernel, subset) -> float:
@@ -156,10 +161,7 @@ def density(kernel: ProjectionKernel, subset) -> float:
     idx = sorted(subset)
     if len(idx) != kernel.rank or len(set(idx)) != len(idx):
         raise ValueError(f"density needs exactly rank={kernel.rank} distinct indices")
-    if kernel.rank == 0:
-        return 1.0
-    minor = kernel.matrix[np.ix_(idx, idx)]
-    return max(float(np.linalg.det(minor).real), 0.0)
+    return inclusion_probability(kernel, idx)
 
 
 def inclusion_probability(kernel: ProjectionKernel, subset) -> float:
@@ -195,4 +197,4 @@ def condition_inside(kernel: ProjectionKernel, allowed) -> ProjectionKernel:
     if q.shape[1] != kernel.rank:
         raise ImpossibleCondition(
             "the process cannot stay inside the allowed set")
-    return ProjectionKernel(q @ q.conj().T, kernel.rank)
+    return ProjectionKernel.from_frame(q)

@@ -35,6 +35,13 @@ def enumeration_cap(cap: int | None = None) -> int:
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
+def check_enumeration_cap(size: int, cap: int | None = None, what: str = "edges") -> None:
+    """EnumerationCapExceeded if an exhaustive enumeration over `size` items is above the cap."""
+    cap = enumeration_cap(cap)
+    if size > cap:
+        raise EnumerationCapExceeded(f"{size} {what} exceeds enumeration cap {cap}")
+
+
 class _UnionFind:
     __slots__ = ("parent",)
 
@@ -155,6 +162,11 @@ class WeightedGraph:
         except (KeyError, TypeError, AttributeError) as exc:
             raise MalformedInput(
                 f"graph JSON needs num_vertices and edges with tail and head: {exc!r}") from exc
+        # exact JSON types: a bool is not a vertex and a string is not a weight
+        if not (all(type(v) is int for v in (num_vertices, *itertools.chain(*edges)))
+                and all(type(w) in (int, float) for w in weights)):
+            raise MalformedInput("graph JSON needs integer num_vertices, tail and head "
+                                 "and numeric weights")
         return WeightedGraph(num_vertices, edges, weights)
 
 
@@ -334,10 +346,7 @@ def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.nd
 
 def enumerate_spanning_trees(g: WeightedGraph, cap: int | None = None) -> list[SubgraphMask]:
     """All spanning trees, by exhaustive check of (|V|-1)-subsets."""
-    cap = enumeration_cap(cap)
-    if g.num_edges > cap:
-        raise EnumerationCapExceeded(
-            f"{g.num_edges} edges exceeds enumeration cap {cap}")
+    check_enumeration_cap(g.num_edges, cap)
     k = g.num_vertices - 1
     trees = []
     for combo in itertools.combinations(range(g.num_edges), k):

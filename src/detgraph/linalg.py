@@ -37,31 +37,32 @@ def orthonormalize(columns: np.ndarray, rtol: float = RANK_RTOL,
                    scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span (standard inner product).
 
-    Modified Gram-Schmidt with one reorthogonalization pass.  Columns whose
-    remainder falls below rtol times `scale` are dropped; the default scale
-    is the largest input column norm.  Pass an explicit scale when the
-    columns are residuals of vectors with a known larger magnitude.
+    The left singular vectors of a LAPACK SVD whose singular values exceed
+    rtol times `scale`; the default scale is the largest input column norm.
+    Pass an explicit scale when the columns are residuals of vectors with a
+    known larger magnitude.
     """
-    a = np.array(columns, dtype=complex)
+    a = np.asarray(columns, dtype=complex)
     if a.ndim != 2 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     if scale is None:
-        norms = np.linalg.norm(a, axis=0)
-        scale = norms.max() if norms.size else 0.0
+        scale = np.linalg.norm(a, axis=0).max()
     if scale == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    kept: list[np.ndarray] = []
-    for j in range(a.shape[1]):
-        v = a[:, j].copy()
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for q in kept:
-                v -= q * (q.conj() @ v)
-        nrm = np.linalg.norm(v)
-        if nrm > rtol * scale:
-            kept.append(v / nrm)
-    if not kept:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    return np.column_stack(kept)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return u[:, s > rtol * scale]
+
+
+def extend_frame(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Orthonormal frame q followed by a basis of the part of `columns` outside it.
+
+    The span and rank rule of orthonormalize(hstack([q, columns])), but only the
+    residual, projected off q twice ("twice is enough"), is decomposed.
+    """
+    r = columns - q @ (q.conj().T @ columns)
+    r -= q @ (q.conj().T @ r)
+    scale = max(1.0, np.linalg.norm(columns, axis=0).max(initial=0.0))
+    return np.hstack([q, orthonormalize(r, scale=scale)])
 
 
 def projector_onto_span(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -108,8 +109,7 @@ def schur_split_det(u: np.ndarray, h_columns: np.ndarray) -> tuple[float, float]
     n = u.shape[1]
     h = np.asarray(h_columns, dtype=complex).reshape(u.shape[1], -1)
     qh = orthonormalize(h)
-    full = np.eye(n, dtype=complex)
-    qperp = orthonormalize(full - qh @ qh.conj().T @ full)
+    qperp = orthonormalize(np.eye(n) - qh @ qh.conj().T)
     if qh.shape[1] + qperp.shape[1] != n:
         raise RankDeficient("subspace split does not fill the domain")
     a = u @ qperp

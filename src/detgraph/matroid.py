@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .dpp import ProjectionKernel
-from .errors import DegenerateForms, EnumerationCapExceeded, ImpossibleCondition, RankDeficient
-from .graph import enumeration_cap
+from .errors import DegenerateForms, ImpossibleCondition, RankDeficient
+from .graph import check_enumeration_cap
 from .linalg import gram_det, orthonormalize
 
 SVD_RTOL = 1e-10
@@ -69,14 +69,7 @@ class LinearMatroid:
         return self.kernel_basis.shape[1]
 
     def _subset_rank_ok(self, subset: tuple[int, ...]) -> bool:
-        cols = self.matrix[:, list(subset)]
-        if not cols.size:
-            return len(subset) == 0
-        s = np.linalg.svd(cols, compute_uv=False)
-        smax = s.max(initial=0.0)
-        if smax == 0.0:
-            return False
-        return bool(np.sum(s > SVD_RTOL * smax) == len(subset))
+        return _numeric_rank(self.matrix[:, list(subset)]) == len(subset)
 
     def is_basis(self, subset) -> bool:
         subset = tuple(sorted(subset))
@@ -87,10 +80,7 @@ class LinearMatroid:
 
     @cached_property
     def bases(self) -> tuple[tuple[int, ...], ...]:
-        cap = enumeration_cap()
-        if self.ground_size > cap:
-            raise EnumerationCapExceeded(
-                f"{self.ground_size} elements exceeds enumeration cap {cap}")
+        check_enumeration_cap(self.ground_size, what="elements")
         out = [t for t in itertools.combinations(range(self.ground_size), self.rank)
                if self._subset_rank_ok(t)]
         self._warn_conditioning(out)
@@ -110,15 +100,8 @@ class LinearMatroid:
 
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
-        out = []
-        for subset in itertools.combinations(range(self.ground_size), self.rank + k):
-            cols = self.matrix[:, list(subset)]
-            s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
-            smax = s.max(initial=0.0)
-            r = int(np.sum(s > SVD_RTOL * smax)) if smax > 0 else 0
-            if r == self.rank:
-                out.append(subset)
-        return out
+        return [subset for subset in itertools.combinations(range(self.ground_size), self.rank + k)
+                if _numeric_rank(self.matrix[:, list(subset)]) == self.rank]
 
     def fundamental_circuit_vector(self, basis: tuple[int, ...], j: int) -> np.ndarray:
         """Kernel vector with coefficient 1 on j and support inside basis + {j}."""
@@ -142,6 +125,12 @@ class LinearMatroid:
         if not rest:
             return np.zeros((self.ground_size, 0), dtype=complex)
         return np.column_stack([self.fundamental_circuit_vector(basis, j) for j in rest])
+
+
+def _numeric_rank(cols: np.ndarray) -> int:
+    """Singular values above SVD_RTOL times the largest one."""
+    s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
+    return int(np.sum(s > SVD_RTOL * s.max(initial=0.0))) if s.any() else 0
 
 
 def from_matrix(matrix: np.ndarray, weights: np.ndarray | None = None) -> LinearMatroid:

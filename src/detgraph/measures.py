@@ -35,7 +35,7 @@ from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
 from .graph import (SubgraphMask, WeightedGraph, fundamental_cycle,
                     min_index_spanning_tree)
-from .linalg import j_x_columns, orthonormalize, to_omega
+from .linalg import RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,7 +88,15 @@ class SubgraphWeight:
 
 
 def _frame_exact_forms(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    return orthonormalize(to_omega(x, g.coboundary.astype(complex)))
+    """QR frame of the differentials of all vertices but the first, omega coords.
+
+    Independent as the graph is connected, so no rank is decided; rows sorted by
+    decreasing weight keep Householder QR accurate over wide weight spreads.
+    """
+    order = np.argsort(-np.asarray(x), kind="stable")
+    q = np.empty((g.num_edges, g.num_vertices - 1), dtype=complex)
+    q[order] = np.linalg.qr(to_omega(x, g.coboundary[:, 1:].astype(complex))[order])[0]
+    return q
 
 
 def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray:
@@ -110,17 +118,21 @@ def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray
 
 
 def _forest_core_frame(g: WeightedGraph, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of (exact forms) intersect (j_x phi)^perp, omega coords."""
+    """Orthonormal frame of (exact forms) intersect (j_x phi)^perp, omega coords.
+
+    q u[:, k:] for q^H j_x(phi) = u r (complete QR); the one numeric decision
+    is whether the k chains are independent inside the exact forms.
+    """
     q = _frame_exact_forms(g, x)
+    k = phi.shape[1]
+    if k == 0:
+        return q
     jphi_omega = to_omega(x, j_x_columns(x, phi))
-    inside = q @ (q.conj().T @ jphi_omega)
-    norms = np.linalg.norm(jphi_omega, axis=0)
-    w = orthonormalize(inside, scale=float(norms.max()) if norms.size else None)
-    if w.shape[1] != phi.shape[1]:
+    u, r = np.linalg.qr(q.conj().T @ jphi_omega, mode="complete")
+    scale = np.linalg.norm(jphi_omega, axis=0).max()
+    if k > q.shape[1] or np.abs(np.diag(r)).min() <= RANK_RTOL * scale:
         raise DegenerateForms("chains must be independent from the cycle space")
-    # residual columns of a unit frame: rank decision on the absolute scale
-    core = orthonormalize(q - w @ (w.conj().T @ q), scale=1.0)
-    return core
+    return q @ u[:, k:]
 
 
 def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
@@ -135,7 +147,7 @@ def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
     if frame.shape[1] != expected:
         raise DegenerateForms(
             f"{spec.variant} kernel has rank {frame.shape[1]}, expected {expected}")
-    return ProjectionKernel(frame @ frame.conj().T, expected)
+    return ProjectionKernel.from_frame(frame)
 
 
 def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> SubgraphMask:
@@ -360,8 +372,7 @@ VARIANT_TABLE: dict[str, Variant] = {
         forms={}, family="connected", dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
-        frame=lambda g, x, spec: orthonormalize(np.hstack([
-            _frame_exact_forms(g, x), to_omega(x, spec.theta)])),
+        frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x), to_omega(x, spec.theta)),
         support=lambda g, edges, labels, k, l: _betti(edges, labels) == (1, k),
         weight=lambda g, mask, spec: cycle_weight(g, mask, spec.theta).value,
         forms={"theta": "k"}, family="connected", dual="forest"),
@@ -381,8 +392,8 @@ VARIANT_TABLE: dict[str, Variant] = {
         forms={"connection": None}, family="crsf"),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
-        frame=lambda g, x, spec: orthonormalize(np.hstack([
-            _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)])),
+        frame=lambda g, x, spec: extend_frame(
+            _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)),
         support=_mixed_law,
         weight=None,
         forms={"phi": "k", "theta": "l"}, family="mixed"),
@@ -454,18 +465,12 @@ def sample_in_support(spec: MeasureSpec, mask: SubgraphMask) -> bool:
 
 
 def forms_to_json(theta=None, phi=None, connection=None) -> str:
-    def enc(m):
-        arr = np.asarray(m, dtype=complex)
-        return [[[float(z.real), float(z.imag)] for z in arr[:, j]]
-                for j in range(arr.shape[1])]
-    payload = {}
-    if theta is not None:
-        payload["theta"] = enc(theta)
-    if phi is not None:
-        payload["phi"] = enc(phi)
+    def pairs(v):
+        return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    payload = {key: [pairs(col) for col in np.asarray(m, dtype=complex).T]
+               for key, m in (("theta", theta), ("phi", phi)) if m is not None}
     if connection is not None:
-        h = np.asarray(connection, dtype=complex)
-        payload["connection"] = [[float(z.real), float(z.imag)] for z in h]
+        payload["connection"] = pairs(connection)
     return json.dumps(payload)
 
 

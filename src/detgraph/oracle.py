@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dpp, matroid as matroid_mod, measures, polynomials
-from .errors import EnumerationCapExceeded
-from .graph import SubgraphMask, WeightedGraph, components_of, enumeration_cap
+from .graph import (SubgraphMask, WeightedGraph, check_enumeration_cap, components_of,
+                    enumerate_spanning_trees)
 
 DENSITY_TOL = 1e-9
 POLY_RTOL = 1e-9
@@ -49,13 +49,6 @@ class OracleReport:
         }
 
 
-def _check_cap(g: WeightedGraph, cap: int | None) -> None:
-    cap = enumeration_cap(cap)
-    if g.num_edges > cap:
-        raise EnumerationCapExceeded(
-            f"{g.num_edges} edges exceeds enumeration cap {cap}")
-
-
 def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0,
                      cap: int | None = None) -> list[SubgraphMask]:
     """Exact subgraph family by exhaustive filtering with a support law.
@@ -65,7 +58,7 @@ def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0,
     components), "crsf" (every component unicyclic), or "mixed" (Euler
     characteristic k-l+1 with the b1 window).
     """
-    _check_cap(g, cap)
+    check_enumeration_cap(g.num_edges, cap)
     variant = measures.variant_of(family)
     size = variant.size(g.num_vertices, k, l)
     if size < 0 or size > g.num_edges:
@@ -96,7 +89,7 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
     positive density outside the family, or positive weight with zero density.
     """
     start = time.monotonic()
-    _check_cap(g, cap)
+    check_enumeration_cap(g.num_edges, cap)
     kernel = measures.build_kernel(g, spec)
     fam = enumerate_family(g, measures.VARIANT_TABLE[spec.variant].family,
                            k=spec.k, l=spec.l, cap=cap)
@@ -120,7 +113,6 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
 def tree_sum(g: WeightedGraph, x: np.ndarray | None = None,
              cap: int | None = None) -> float:
     """Defining sum of the tree polynomial."""
-    from .graph import enumerate_spanning_trees
     x = g.weights if x is None else np.asarray(x)
     total = 0.0
     for t in enumerate_spanning_trees(g, cap=cap):
@@ -131,7 +123,6 @@ def tree_sum(g: WeightedGraph, x: np.ndarray | None = None,
 
 def psi1_sum(g: WeightedGraph, x: np.ndarray | None = None,
              cap: int | None = None) -> float:
-    from .graph import enumerate_spanning_trees
     x = g.weights if x is None else np.asarray(x)
     total = 0.0
     for t in enumerate_spanning_trees(g, cap=cap):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SubgraphMask, WeightedGraph, fundamental_cut, min_index_spanning_tree
-from .linalg import (bilinear_gram_det, gram_det, j_x_columns, orthonormalize,
-                     projector_onto_span, to_omega)
+from .linalg import bilinear_gram_det, gram_det, j_x_columns, projector_onto_span, to_omega
 from .measures import integral_cycle_basis_of
 
 
@@ -61,10 +60,13 @@ def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
 
 
 def _domain_frames_C(g: WeightedGraph) -> np.ndarray:
-    """Orthonormal basis of mean-zero vertex functions (weight independent)."""
+    """Orthonormal basis of mean-zero vertex functions (weight independent).
+
+    QR of the centred unit vectors of all vertices but the first: they are
+    independent, so no rank is decided.
+    """
     n = g.num_vertices
-    basis = np.eye(n) - np.ones((n, n)) / n
-    return orthonormalize(basis.astype(complex))
+    return np.linalg.qr((np.eye(n) - 1.0 / n)[:, 1:].astype(complex))[0]
 
 
 def generalized_C(g: WeightedGraph, x: np.ndarray | None, theta: np.ndarray) -> complex:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import MalformedInput
 from .graph import WeightedGraph
 from .measures import _two_core_edges
 
@@ -58,6 +59,8 @@ def render_svg(g: WeightedGraph, sample_edges, style: RenderStyle | None = None,
                rows: int | None = None, cols: int | None = None) -> str:
     style = style or RenderStyle()
     sample_edges = set(int(i) for i in sample_edges)
+    if not all(0 <= i < g.num_edges for i in sample_edges):
+        raise MalformedInput(f"sample edge indices must lie in [0, {g.num_edges})")
     if rows and cols and rows * cols == g.num_vertices:
         pos = grid_positions(rows, cols, style)
     else:

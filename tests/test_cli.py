@@ -213,3 +213,32 @@ class TestFigureScaleRoundTrip:
                        "--rows", "15", "--cols", "15", "-o", str(out)) == 0
             assert time.monotonic() - start < 10.0
             assert out.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("edges", [[0, 99], [0, -1]])
+def test_render_with_out_of_range_edge_exits_2(edges, tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert run("gen-grid", "--rows", "2", "--cols", "2", "-o", str(graph)) == 0
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"samples": [edges]}))
+    assert run("render", "--graph", str(graph), "--sample", str(samples),
+               "-o", str(tmp_path / "out.svg")) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("num_vertices", "3"), ("num_vertices", 3.0), ("num_vertices", True),
+    ("tail", "0"), ("head", None), ("weight", "heavy"), ("weight", [1.0]),
+])
+def test_graph_json_with_non_integer_fields_exits_2(field, value, tmp_path, capsys):
+    payload = {"num_vertices": 3, "edges": [{"tail": 0, "head": 1, "weight": 1.0},
+                                            {"tail": 1, "head": 2, "weight": 2.0}]}
+    if field == "num_vertices":
+        payload[field] = value
+    else:
+        payload["edges"][0][field] = value
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(payload))
+    assert run("sample", "--graph", str(graph), "--measure", "ust",
+               "-o", str(tmp_path / "out.json")) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -446,3 +446,58 @@ def test_samples_are_stable_per_seed(variant):
                          np.random.default_rng(2024).uniform(0.5, 2.0, base.num_edges))
     kernel = dg.build_kernel(g, measures.random_spec(g, variant, 2, 2, seed=3))
     assert [sorted(dg.sample(kernel, s)) for s in range(5)] == GOLDEN_SAMPLES[variant]
+
+
+@pytest.mark.parametrize("spread", [9, 10])
+@pytest.mark.parametrize("seed", range(10))
+def test_forest_measure_at_wide_weight_spreads(spread, seed):
+    # the forest core has no residual rank decision left: weights spread over
+    # 1e±9 and 1e±10 used to raise a false DegenerateForms for some seeds
+    base = dg.grid_graph(3, 3)
+    x = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread, base.num_edges)
+    g = dg.WeightedGraph(base.num_vertices, base.edges, x)
+    spec = measures.random_spec(g, "forest", 1, 0, seed)
+    assert oracle.compare_measure(g, spec).passed
+
+
+@pytest.fixture(scope="module")
+def weighted_grid_4x4():
+    base = dg.grid_graph(4, 4)
+    return dg.WeightedGraph(base.num_vertices, base.edges,
+                            np.random.default_rng(77).uniform(0.5, 2.0, base.num_edges))
+
+
+@pytest.mark.parametrize("variant", measures.VARIANTS)
+class TestFrameKernel:
+    def kernel(self, g, variant):
+        return dg.build_kernel(g, measures.random_spec(g, variant, 2, 1, seed=5))
+
+    def test_matrix_is_the_frame_projector(self, weighted_grid_4x4, variant):
+        k = self.kernel(weighted_grid_4x4, variant)
+        assert k.frame.shape == (weighted_grid_4x4.num_edges, k.rank)
+        assert np.abs(k.matrix - k.frame @ k.frame.conj().T).max() < 1e-14
+
+    def test_non_orthonormal_frame_rejected(self, weighted_grid_4x4, variant):
+        frame = self.kernel(weighted_grid_4x4, variant).frame.copy()
+        frame[:, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="orthonormal"):
+            dg.ProjectionKernel.from_frame(frame)
+
+    def test_range_frame_spans_the_range(self, weighted_grid_4x4, variant):
+        k = self.kernel(weighted_grid_4x4, variant)
+        f = k.range_frame()
+        assert np.abs(f.conj().T @ f - np.eye(k.rank)).max() < 1e-12
+        assert np.abs(k.matrix @ f - f).max() < 1e-12
+        eigvals = np.linalg.eigvalsh(k.matrix)
+        assert np.sum(eigvals > 0.5) == k.rank
+
+    def test_json_roundtrip_keeps_the_kernel(self, weighted_grid_4x4, variant):
+        k = self.kernel(weighted_grid_4x4, variant)
+        back = dg.ProjectionKernel.from_json(k.to_json())
+        assert back.rank == k.rank
+        assert np.abs(back.matrix - k.matrix).max() < 1e-14
+        assert np.abs(back.frame @ back.frame.conj().T - k.matrix).max() < 1e-12
+
+    def test_batch_equals_samples_per_seed(self, weighted_grid_4x4, variant):
+        k = self.kernel(weighted_grid_4x4, variant)
+        assert dg.sample_batch(k, 40, 7) == [dg.sample(k, 40 + i) for i in range(7)]
