@@ -118,7 +118,11 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     g = _read_graph(args.graph)
     payload = json.loads(Path(args.sample).read_text())
-    samples = payload["samples"] if "samples" in payload else [payload]
+    samples = payload.get("samples") if isinstance(payload, dict) else [payload]
+    # exact JSON types, as for graphs: a bool or a float is not an edge index
+    if not (isinstance(samples, list) and all(
+            isinstance(s, list) and all(type(i) is int for i in s) for s in samples)):
+        raise MalformedInput("sample JSON needs lists of integer edge indices")
     try:
         edges = samples[args.index]
     except IndexError:

@@ -35,7 +35,10 @@ class ProjectionKernel:
     rank: int
 
     def __init__(self, matrix: np.ndarray, rank: int | None = None):
-        """Kernel of a Hermitian idempotent matrix; its frame comes from one eigh."""
+        """Kernel of a dense projector from outside the library (JSON, user code).
+
+        One O(n^3) eigh validates it and yields the frame; library kernels use from_frame.
+        """
         m = np.asarray(matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel must be square")
@@ -63,8 +66,8 @@ class ProjectionKernel:
         q = np.array(frame, dtype=complex)
         if q.ndim != 2:
             raise ValueError("frame must be a matrix")
-        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > KERNEL_TOL:
-            raise ValueError("frame must be orthonormal")
+        if not np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= KERNEL_TOL:
+            raise ValueError("frame must be orthonormal")  # NaN entries fail too
         q.setflags(write=False)
         kernel = cls.__new__(cls)
         kernel.__dict__.update(frame=q, rank=q.shape[1])
@@ -81,12 +84,9 @@ class ProjectionKernel:
         return self.frame.shape[0]
 
     def complement(self) -> "ProjectionKernel":
-        """Kernel of the complement process."""
-        return ProjectionKernel(np.eye(self.size) - self.matrix, self.size - self.rank)
-
-    def range_frame(self) -> np.ndarray:
-        """Orthonormal basis of the range, as columns."""
-        return self.frame
+        """Kernel of the complement process: the last n - r columns of a complete QR."""
+        q = np.linalg.qr(self.frame, mode="complete")[0]
+        return ProjectionKernel.from_frame(q[:, self.rank:])
 
     def to_json(self) -> str:
         pairs = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
@@ -118,16 +118,16 @@ def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozen
     batch; sample i reads the Philox stream (seed + i, TAG_SAMPLER) exactly as
     sample(seed + i) does and repeats its arithmetic, so the two agree.
     """
-    per = max(1, _BATCH_BYTES // (16 * kernel.size * max(kernel.rank, 1)))
+    per = max(1, _BATCH_BYTES // (16 * max(kernel.size, 1) * max(kernel.rank, 1)))
     return [s for lo in range(0, count, per)
             for s in _chain_rule(kernel.frame, seed + lo, min(per, count - lo))]
 
 
 def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
     n, r = v.shape
-    gens = [_rng.stream(seed + b, _rng.TAG_SAMPLER) for b in range(count)]
-    # a lone sample draws step by step; a batch takes each stream's r uniforms at once
-    uniforms = None if count == 1 else np.array([gen.random(r) for gen in gens])
+    # r uniforms per sample, one per step, from the sample's own Philox stream
+    uniforms = np.array([_rng.stream(seed + b, _rng.TAG_SAMPLER).random(r)
+                         for b in range(count)])
     norms = np.tile((np.abs(v) ** 2).sum(axis=1), (count, 1))
     cols = np.empty((count, r, n), dtype=complex)  # C^T, one Gram-Schmidt column per step
     chosen = np.empty((count, r), dtype=np.intp)
@@ -139,11 +139,7 @@ def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
         if np.any(total <= 0.0):
             raise NumericDegeneracy("projector drift exhausted the diagonal")
         probs /= total[:, None]
-        if uniforms is None:
-            idx = np.array([_rng.categorical(gens[0], probs[0])])
-        else:  # rng.categorical's inverse CDF, row by row
-            cdf = np.cumsum(probs, axis=1)
-            idx = np.minimum((cdf <= (uniforms[:, step] * cdf[:, -1])[:, None]).sum(axis=1), n - 1)
+        idx = _rng.categorical(uniforms[:, step], probs)
         chosen[:, step] = idx
         # stacked (1 x r) @ (r x n) products: each sample's arithmetic is
         # the same whatever the batch size
@@ -190,7 +186,7 @@ def condition_inside(kernel: ProjectionKernel, allowed) -> ProjectionKernel:
     onto the compression of the range to the allowed coordinates.
     """
     allowed = sorted(set(allowed))
-    frame = kernel.range_frame()
+    frame = kernel.frame
     restricted = np.zeros_like(frame)
     restricted[allowed, :] = frame[allowed, :]
     q = orthonormalize(restricted)

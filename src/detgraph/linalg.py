@@ -65,15 +65,6 @@ def extend_frame(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.hstack([q, orthonormalize(r, scale=scale)])
 
 
-def projector_onto_span(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of forms, in the omega basis.
-
-    Rank deficiency of the spanning family is tolerated (it is a span).
-    """
-    q = orthonormalize(to_omega(x, columns))
-    return q @ q.conj().T
-
-
 def gram_det(x: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> float:
     """Determinant of the weighted Gram matrix; 0 iff the family is dependent.
 

@@ -198,7 +198,9 @@ def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
     cols = m.matrix.T.copy()  # image of the transposed map, e* coordinates
     omega = cols * np.sqrt(m.weights)[:, None]
     q = orthonormalize(omega)
-    return ProjectionKernel(q @ q.conj().T, m.rank)
+    if q.shape[1] != m.rank:
+        raise RankDeficient(f"image frame has rank {q.shape[1]}, expected {m.rank}")
+    return ProjectionKernel.from_frame(q)
 
 
 def restricted_kernel_basis(m: LinearMatroid, k_set: tuple[int, ...]) -> np.ndarray:
@@ -329,7 +331,7 @@ def theorem_measure(m: LinearMatroid, theta: np.ndarray):
     q = orthonormalize(omega)
     if q.shape[1] != m.rank + k:
         raise DegenerateForms("forms overlap the kernel of the adjoint")
-    kernel = ProjectionKernel(q @ q.conj().T, m.rank + k)
+    kernel = ProjectionKernel.from_frame(q)
 
     def weight(k_set) -> float:
         k_set = tuple(sorted(k_set))

@@ -418,7 +418,8 @@ def _spec_from_forms(variant: str, forms: dict) -> MeasureSpec:
     counts = {}
     for key, count in VARIANT_TABLE[variant].forms.items():
         if count:
-            forms[key] = forms[key].reshape(len(forms[key]), -1)
+            if forms[key].ndim == 1:
+                forms[key] = forms[key][:, None]
             counts[count] = forms[key].shape[1]
     return MeasureSpec(variant, **counts, **forms)
 
@@ -483,6 +484,8 @@ def _complex_pairs(value, depth: int, key: str) -> np.ndarray:
     if pairs.ndim != depth + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
         raise MalformedInput(f"forms {key!r} needs a nonempty {depth}-deep list "
                              f"of [re, im] pairs, got shape {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
+        raise MalformedInput(f"forms {key!r} has non-finite entries")
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 

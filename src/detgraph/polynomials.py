@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SubgraphMask, WeightedGraph, fundamental_cut, min_index_spanning_tree
-from .linalg import bilinear_gram_det, gram_det, j_x_columns, projector_onto_span, to_omega
-from .measures import integral_cycle_basis_of
+from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega
+from .measures import _frame_exact_forms, integral_cycle_basis_of
 
 
 def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
@@ -126,10 +126,10 @@ def ratio_identity_connected(g: WeightedGraph, x: np.ndarray | None,
     x = g.weights if x is None else np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=complex).reshape(g.num_edges, -1)
     lhs = generalized_C(g, x, theta).real / kirchhoff_T(g, x).real
-    p_cycle = np.eye(g.num_edges) - projector_onto_span(x, g.coboundary.astype(complex))
-    proj = p_cycle @ to_omega(x, theta)
-    rhs = float(np.linalg.det(proj.conj().T @ proj).real) if proj.shape[1] else 1.0
-    return RatioReport(lhs, rhs)
+    q = _frame_exact_forms(g, x)
+    t = to_omega(x, theta)
+    proj = t - q @ (q.conj().T @ t)  # the part of theta orthogonal to the exact forms
+    return RatioReport(lhs, float(np.linalg.det(proj.conj().T @ proj).real))
 
 
 def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
@@ -138,10 +138,9 @@ def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
     x = g.weights if x is None else np.asarray(x, dtype=float)
     phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
     lhs = generalized_A(g, x, phi).real / kirchhoff_T(g, x).real
-    p_im = projector_onto_span(x, g.coboundary.astype(complex))
-    proj = p_im @ to_omega(x, j_x_columns(x, phi))
-    rhs = float(np.linalg.det(proj.conj().T @ proj).real) if proj.shape[1] else 1.0
-    return RatioReport(lhs, rhs)
+    q = _frame_exact_forms(g, x)
+    coords = q.conj().T @ to_omega(x, j_x_columns(x, phi))  # exact-form part, in frame coords
+    return RatioReport(lhs, float(np.linalg.det(coords.conj().T @ coords).real))
 
 
 def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:

@@ -20,8 +20,11 @@ def stream(seed: int, tag: int = TAG_SAMPLER) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Draw one index by inverse-CDF; stable across numpy versions."""
-    cdf = np.cumsum(probs)
-    u = rng.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="right").clip(0, len(probs) - 1))
+def categorical(uniforms: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Inverse CDF: one index per row of `probs` for that row's uniform in [0, 1).
+
+    Stable across numpy versions (cumulative sums and comparisons only).
+    """
+    cdf = np.cumsum(probs, axis=1)
+    hits = (cdf <= (uniforms * cdf[:, -1])[:, None]).sum(axis=1)
+    return np.minimum(hits, probs.shape[1] - 1)

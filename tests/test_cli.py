@@ -75,6 +75,13 @@ class TestSample:
                    "-o", str(tmp_path / "s.json"))
         assert code == 3
 
+    @pytest.mark.parametrize("measure", ["ust", "connected", "forest", "mixed"])
+    def test_one_vertex_graph_samples_the_empty_set(self, measure, tmp_path):
+        graph, out = tmp_path / "g.json", tmp_path / "s.json"
+        graph.write_text(json.dumps({"num_vertices": 1, "edges": []}))
+        assert run("sample", "--graph", str(graph), "--measure", measure, "-o", str(out)) == 0
+        assert json.loads(out.read_text())["samples"] == [[]]
+
     def test_missing_file_exit_code(self, tmp_path):
         code = run("sample", "--graph", str(tmp_path / "nope.json"),
                    "--measure", "ust", "-o", str(tmp_path / "s.json"))
@@ -177,21 +184,34 @@ class TestRender:
         assert a.read_text() == b.read_text()
 
 
-@pytest.mark.parametrize("case", ["render-index", "graph-without-edges", "forms-not-pairs"])
+# sample files that are not lists of integer edge indices
+RENDER_PAYLOADS = {
+    "render-number": 5,
+    "render-samples-number": {"samples": 5},
+    "render-sample-number": {"samples": [5]},
+    "render-samples-object": {"samples": {"a": 1}},
+    "render-float-index": {"samples": [[0.7, 1]]},
+    "render-bool-index": {"samples": [[True, 2]]},
+}
+
+
+@pytest.mark.parametrize("case", ["render-index", "graph-without-edges", "forms-not-pairs",
+                                  *RENDER_PAYLOADS])
 def test_malformed_input_exits_2_without_traceback(case, grid_file, tmp_path, capsys):
     samples = tmp_path / "s.json"
-    samples.write_text(json.dumps({"samples": [[0, 1]], "seed": 0, "rank": 2}))
+    samples.write_text(json.dumps(RENDER_PAYLOADS.get(
+        case, {"samples": [[0, 1]], "seed": 0, "rank": 2})))
     bad_graph = tmp_path / "bad.json"
     bad_graph.write_text(json.dumps({"num_vertices": 3}))
     forms = tmp_path / "f.json"
     forms.write_text(json.dumps({"theta": 5}))
+    render = ("render", "--graph", str(grid_file), "--sample", str(samples))
     argv = {
-        "render-index": ("render", "--graph", str(grid_file), "--sample", str(samples),
-                         "--index", "5"),
+        "render-index": (*render, "--index", "5"),
         "graph-without-edges": ("sample", "--graph", str(bad_graph), "--measure", "ust"),
         "forms-not-pairs": ("sample", "--graph", str(grid_file), "--measure", "connected",
                             "--k", "1", "--forms", str(forms)),
-    }[case]
+    }.get(case, render)
     assert run(*argv, "-o", str(tmp_path / "out")) == 2
     assert "Traceback" not in capsys.readouterr().err
 

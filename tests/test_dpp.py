@@ -44,6 +44,11 @@ class TestSample:
         k = dg.ProjectionKernel(np.zeros((3, 3)))
         assert dg.sample(k, 0) == frozenset()
 
+    def test_empty_kernel_samples_the_empty_set(self):
+        k = dg.build_kernel(dg.WeightedGraph(1, []), dg.MeasureSpec.ust())
+        assert (k.size, k.rank) == (0, 0)
+        assert dg.sample_batch(k, 0, 3) == [frozenset()] * 3
+
     def test_identity_gives_everything(self):
         k = dg.ProjectionKernel(np.eye(4))
         assert dg.sample(k, 0) == frozenset(range(4))
@@ -186,6 +191,14 @@ class TestComplement:
             other = tuple(sorted(set(range(3)) - set(t)))
             assert dg.density(comp, other) == pytest.approx(
                 dg.density(triangle_ust, t), abs=1e-12)
+
+    @pytest.mark.parametrize("rank", [0, 2, 4])
+    def test_complement_is_an_involution(self, rank):
+        k = dg.ProjectionKernel(np.diag([1.0] * rank + [0.0] * (4 - rank)))
+        comp = k.complement()
+        assert comp.rank == 4 - rank
+        assert np.abs(comp.matrix + k.matrix - np.eye(4)).max() < 1e-12
+        assert np.abs(comp.complement().matrix - k.matrix).max() < 1e-12
 
 
 class TestBatchOnComplexKernel:

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 import detgraph as dg
-from detgraph.linalg import (bilinear_gram_det, gram_det, orthonormalize,
-                             projector_onto_span, to_omega)
+from detgraph.linalg import bilinear_gram_det, gram_det, orthonormalize, to_omega
+from detgraph.measures import _frame_exact_forms
 
 
 def _random_forms(rng, n, m):
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+
+def _projector(x, columns):
+    """Orthogonal projection onto the span of forms, in the omega basis."""
+    q = orthonormalize(to_omega(x, columns))
+    return q @ q.conj().T
 
 
 class TestJx:
@@ -33,15 +39,15 @@ class TestJx:
 class TestProjection:
     def test_whole_space(self):
         x = np.array([0.5, 1.5, 2.5])
-        p = projector_onto_span(x, np.eye(3, dtype=complex))
+        p = _projector(x, np.eye(3, dtype=complex))
         assert np.allclose(p, np.eye(3))
 
     def test_empty_family_gives_zero(self):
-        p = projector_onto_span(np.ones(3), np.zeros((3, 0)))
+        p = _projector(np.ones(3), np.zeros((3, 0)))
         assert np.allclose(p, 0)
 
     def test_ust_subspace_on_triangle(self, triangle):
-        p = projector_onto_span(
+        p = _projector(
             np.ones(3), triangle.coboundary[:, 1:].astype(complex))
         assert np.allclose(np.diag(p), 2 / 3)
 
@@ -50,7 +56,7 @@ class TestProjection:
         for m in (1, 3, 5):
             x = rng.uniform(0.2, 3.0, 8)
             cols = _random_forms(rng, 8, m)
-            p = projector_onto_span(x, cols)
+            p = _projector(x, cols)
             assert np.abs(p @ p - p).max() < 1e-10
             assert np.abs(p - p.conj().T).max() < 1e-10
             assert abs(np.trace(p).real - m) < 1e-8
@@ -64,8 +70,11 @@ class TestProjection:
 
     def test_projection_trace_equals_vertex_rank(self):
         g = dg.grid_graph(2, 3)
-        p = projector_onto_span(g.weights, g.coboundary.astype(complex))
+        p = _projector(g.weights, g.coboundary.astype(complex))
         assert abs(np.trace(p).real - (g.num_vertices - 1)) < 1e-8
+        # the SVD span of the whole coboundary is the exact-forms QR frame's
+        q = _frame_exact_forms(g, g.weights)
+        assert np.abs(p - q @ q.conj().T).max() < 1e-12
 
 
 class TestGramDet:

@@ -144,6 +144,14 @@ class TestDensities:
         m = mm.from_matrix(np.eye(4), np.full(4, 2.0))
         assert np.allclose(mm.matroid_kernel(m).matrix, np.eye(4))
 
+    def test_kernel_rank_below_matroid_rank_is_refused(self):
+        # rank 2 by the SVD of R, but a light weight pushes the second
+        # omega-scaled image below the frame's rank threshold
+        m = mm.LinearMatroid(np.diag([1.0, 2e-10]), np.array([1.0, 0.01]))
+        assert m.rank == 2
+        with pytest.raises(RankDeficient, match="rank 1, expected 2"):
+            mm.matroid_kernel(m)
+
 
 class TestConditioning:
     def test_whole_set_is_unconditional(self):

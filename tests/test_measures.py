@@ -1,12 +1,13 @@
 import argparse
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import detgraph as dg
 from detgraph import cli, measures, oracle
-from detgraph.errors import DegenerateForms
+from detgraph.errors import DegenerateForms, MalformedInput
 from detgraph.measures import MeasureSpec
 
 from conftest import random_connected_graph
@@ -295,6 +296,11 @@ class TestFormsJson:
         assert np.allclose(back["phi"], phi)
         assert np.allclose(back["connection"], conn)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entries_rejected(self, value):
+        with pytest.raises(MalformedInput, match="non-finite"):
+            measures.forms_from_json(json.dumps({"phi": [[[1.0, 0.0], [value, 0.0]]]}))
+
 
 class TestEdgeOrderInvariance:
     def test_densities_survive_edge_permutation(self):
@@ -482,10 +488,13 @@ class TestFrameKernel:
         frame[:, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="orthonormal"):
             dg.ProjectionKernel.from_frame(frame)
+        frame[0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            dg.ProjectionKernel.from_frame(frame)
 
     def test_range_frame_spans_the_range(self, weighted_grid_4x4, variant):
         k = self.kernel(weighted_grid_4x4, variant)
-        f = k.range_frame()
+        f = k.frame
         assert np.abs(f.conj().T @ f - np.eye(k.rank)).max() < 1e-12
         assert np.abs(k.matrix @ f - f).max() < 1e-12
         eigvals = np.linalg.eigvalsh(k.matrix)

@@ -143,12 +143,10 @@ class TestRatioIdentities:
         g = square_with_chord
         theta = g.coboundary[:, 1:2].astype(complex)
         val = oracle.connected_poly_sum(g, None, theta)
-        from detgraph.linalg import projector_onto_span, to_omega
-        p_cycle = np.eye(g.num_edges) - projector_onto_span(
-            g.weights, g.coboundary.astype(complex))
-        proj = p_cycle @ to_omega(g.weights, theta)
+        report = polynomials.ratio_identity_connected(g, None, theta)
         assert val == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.norm(proj) == pytest.approx(0.0, abs=1e-9)
+        assert report.rhs == pytest.approx(0.0, abs=1e-18)
+        assert report.rel_error == 0.0
 
 
 class TestGreenPairing:
