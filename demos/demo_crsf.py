@@ -21,7 +21,7 @@ kernel = dg.build_kernel(g, spec)
 print(f"3x3 grid: kernel rank {kernel.rank} = |V| (every sample has |V| edges)")
 
 mask = measures.sample_subgraph(g, kernel, seed=11)
-labels = np.array(mask.component_labels())
+labels = np.array(mask.labels)
 print(f"sample has {mask.b0} component(s), each with exactly one cycle: "
       f"{measures.sample_in_support(spec, mask)}")
 

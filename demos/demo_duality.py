@@ -24,8 +24,8 @@ print(f"triangle -> dual with {pd.dual.num_vertices} vertices and "
 # tree/co-tree duality: spanning trees of the dual are complements of
 # spanning trees of the primal
 dual_inv, spec, _ = dg.dual_transport(g, faces, dg.MeasureSpec.ust())
-primal = sorted(t.indices for t in dg.enumerate_spanning_trees(g))
-dual = sorted(t.indices for t in dg.enumerate_spanning_trees(dual_inv))
+primal = sorted(t.indices for t in oracle.enumerate_family(g, "ust"))
+dual = sorted(t.indices for t in oracle.enumerate_family(dual_inv, "ust"))
 print(f"primal trees {primal}")
 print(f"dual trees   {dual}   (complements)")
 

@@ -9,12 +9,10 @@ functions that normalize them.
 
 from .dpp import (ProjectionKernel, condition_inside, density, generating_function,
                   inclusion_probability, sample, sample_batch)
-from .graph import (SubgraphMask, WeightedGraph, boundary_matrix,
-                    complete_graph, cut_space_basis, cycle_space_basis,
-                    enumerate_spanning_trees, fundamental_cut,
-                    fundamental_cycle, grid_graph, min_index_spanning_tree,
-                    quotient_by_forest)
-from .linalg import gram_det, j_x, schur_split_det
+from .graph import (SubgraphMask, WeightedGraph, complete_graph, cut_space_basis,
+                    cycle_space_basis, fundamental_cut, fundamental_cycle, grid_graph,
+                    min_index_spanning_tree, quotient_by_forest)
+from .linalg import gram_det, j_x
 from .matroid import LinearMatroid, from_matrix, matroid_kernel, theorem_measure
 from .measures import (MeasureSpec, SubgraphWeight, build_kernel, crsf_weight,
                        cycle_weight, dual_transport, forest_weight,
@@ -27,15 +25,15 @@ from .polynomials import (generalized_A, generalized_C, green_height_pairing,
 __all__ = [
     "ProjectionKernel", "SubgraphMask", "WeightedGraph", "MeasureSpec",
     "SubgraphWeight", "LinearMatroid", "PlanarDual",
-    "boundary_matrix", "build_kernel", "complete_graph", "condition_inside",
+    "build_kernel", "complete_graph", "condition_inside",
     "crsf_weight", "cut_space_basis", "cycle_space_basis", "cycle_weight",
-    "density", "dual_transport", "enumerate_spanning_trees", "forest_weight",
+    "density", "dual_transport", "forest_weight",
     "from_matrix", "fundamental_cut", "fundamental_cycle",
     "generalized_A", "generalized_C", "generating_function", "gram_det",
     "green_height_pairing", "grid_graph", "inclusion_probability", "j_x",
     "kirchhoff_T", "matroid_kernel", "min_index_spanning_tree",
     "planar_dual", "quotient_by_forest", "sample",
-    "sample_batch", "sample_subgraph", "schur_split_det",
+    "sample_batch", "sample_subgraph",
     "stability_spot_check", "symanzik_psi1", "symanzik_psi2",
     "theorem_measure", "torus_volume",
 ]

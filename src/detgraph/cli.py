@@ -9,13 +9,16 @@ random streams, so figures are reproducible from (graph, measure, seed).
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import dpp, measures, oracle, polynomials
+from . import dpp, measures, oracle
 from .errors import (DegenerateForms, DetgraphError, ImpossibleCondition,
                      MalformedInput, NumericDegeneracy, RankDeficient)
 from .graph import WeightedGraph, grid_graph
@@ -74,36 +77,42 @@ def _cmd_kernel(args) -> int:
 def _parse_vector(text: str | None, size: int, name: str) -> np.ndarray | None:
     if text is None:
         return None
-    vals = np.array([float(v) for v in text.split(",")])
+    vals = [float(v) for v in text.split(",")]
     if len(vals) != size:
         raise DetgraphError(f"{name} needs {size} comma-separated values")
-    return vals
+    if not all(map(math.isfinite, vals)):
+        raise MalformedInput(f"{name} needs finite values")
+    return np.array(vals)
+
+
+def _charge(g: WeightedGraph, args) -> np.ndarray:
+    q = _parse_vector(args.q, g.num_vertices, "--q")
+    if q is None:
+        raise DetgraphError(f"{args.which} needs --q")
+    return q
+
+
+# how `poly` obtains each extra input named in oracle.POLYNOMIALS; forms and
+# chains come from --forms, else from the seed
+_POLY_INPUTS = {
+    "q": _charge,
+    "theta": lambda g, args: measures.random_spec(
+        g, "connected", args.k, 0, args.seed, _forms(args)).theta,
+    "phi": lambda g, args: measures.random_spec(
+        g, "forest", args.k, 0, args.seed, _forms(args)).phi,
+}
 
 
 def _cmd_poly(args) -> int:
     g = _read_graph(args.graph)
     x = _parse_vector(args.weights, g.num_edges, "--weights")
-    which = args.which
-    if which == "T":
-        value = polynomials.kirchhoff_T(g, x)
-    elif which == "psi1":
-        value = polynomials.symanzik_psi1(g, x)
-    elif which == "psi2":
-        q = _parse_vector(args.q, g.num_vertices, "--q")
-        if q is None:
-            raise DetgraphError("psi2 needs --q")
-        value = polynomials.symanzik_psi2(g, g.weights if x is None else x, q)
-    elif which == "C":
-        spec = measures.random_spec(g, "connected", args.k, 0, args.seed, _forms(args))
-        value = polynomials.generalized_C(g, x, spec.theta)
-    elif which == "A":
-        spec = measures.random_spec(g, "forest", args.k, 0, args.seed, _forms(args))
-        value = polynomials.generalized_A(g, x, spec.phi)
-    else:
-        raise DetgraphError(f"unknown polynomial {which!r}")
-    value = complex(value)
+    poly = oracle.POLYNOMIALS[args.which]
+    extra = () if poly.extra is None else (_POLY_INPUTS[poly.extra](g, args),)
+    value = complex(poly.route(g, g.weights if x is None else x, *extra))
+    if not cmath.isfinite(value):  # JSON has no NaN or infinity
+        raise NumericDegeneracy(f"{args.which} is not finite at these weights: {value}")
     _write(args.output, json.dumps(
-        {"which": which, "value": [value.real, value.imag], "method": "determinant"}))
+        {"which": args.which, "value": [value.real, value.imag], "method": "determinant"}))
     return EXIT_OK
 
 
@@ -170,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="evaluate a partition-function polynomial")
     p.add_argument("--graph", required=True)
-    p.add_argument("--which", required=True, choices=["T", "psi1", "psi2", "A", "C"])
+    p.add_argument("--which", required=True, choices=list(oracle.POLYNOMIALS))
     p.add_argument("--weights", default=None,
                    help="comma-separated edge weights overriding the graph's")
     p.add_argument("--q", default=None, help="comma-separated vertex charge for psi2")
@@ -198,9 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (DegenerateForms, RankDeficient, NumericDegeneracy, ImpossibleCondition) as exc:

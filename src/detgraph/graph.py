@@ -27,17 +27,15 @@ from .errors import EnumerationCapExceeded, ForestHasCycle, MalformedInput, NotA
 DEFAULT_ENUM_CAP = 20
 
 
-def enumeration_cap(cap: int | None = None) -> int:
-    """Resolve the exhaustive-enumeration cap (DETGRAPH_ENUM_CAP overrides)."""
-    if cap is not None:
-        return cap
+def enumeration_cap() -> int:
+    """The exhaustive-enumeration cap: DETGRAPH_ENUM_CAP, else DEFAULT_ENUM_CAP."""
     env = os.environ.get("DETGRAPH_ENUM_CAP")
     return int(env) if env else DEFAULT_ENUM_CAP
 
 
-def check_enumeration_cap(size: int, cap: int | None = None, what: str = "edges") -> None:
+def check_enumeration_cap(size: int, what: str = "edges") -> None:
     """EnumerationCapExceeded if an exhaustive enumeration over `size` items is above the cap."""
-    cap = enumeration_cap(cap)
+    cap = enumeration_cap()
     if size > cap:
         raise EnumerationCapExceeded(f"{size} {what} exceeds enumeration cap {cap}")
 
@@ -65,7 +63,7 @@ class _UnionFind:
         return True
 
 
-def components_of(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+def components_of(num_vertices: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Component label per vertex, labels numbered by smallest member vertex."""
     uf = _UnionFind(num_vertices)
     for tail, head in edges:
@@ -77,7 +75,7 @@ def components_of(num_vertices: int, edges: Iterable[tuple[int, int]]) -> list[i
         if r not in roots:
             roots[r] = len(roots)
         labels.append(roots[r])
-    return labels
+    return tuple(labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +102,8 @@ class WeightedGraph:
         for t, h in edges:
             if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                 raise ValueError(f"edge ({t},{h}) out of vertex range")
-        labels = components_of(num_vertices, edges)
-        if num_vertices > 1 and max(labels) > 0:
+        # too few edges to connect: refused before the union-find allocates per vertex
+        if len(edges) < num_vertices - 1 or max(components_of(num_vertices, edges)) > 0:
             raise ValueError("graph must be connected")
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", edges)
@@ -172,29 +170,29 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class SubgraphMask:
-    """Subset of the positive edges of a graph, with cached Betti numbers.
+    """Subset of the positive edges of a graph, with its topology computed once.
 
-    b0 counts connected components including isolated vertices, and
+    labels gives the component of each vertex, numbered by smallest member
+    vertex; b0 counts connected components including isolated vertices, and
     b0 - b1 = |V| - |edges| always holds.
     """
 
     graph: WeightedGraph
     edge_set: frozenset[int]
+    labels: tuple[int, ...] = field(init=False)
     b0: int = field(init=False)
     b1: int = field(init=False)
 
     def __post_init__(self):
+        edges = self.graph.edges
         for i in self.edge_set:
-            if not (0 <= i < self.graph.num_edges):
+            if not (0 <= i < len(edges)):
                 raise ValueError(f"edge index {i} out of range")
-        labels = components_of(
-            self.graph.num_vertices,
-            (self.graph.edges[i] for i in self.edge_set),
-        )
-        b0 = max(labels) + 1 if labels else 0
-        b1 = len(self.edge_set) - self.graph.num_vertices + b0
+        labels = components_of(self.graph.num_vertices, (edges[i] for i in self.edge_set))
+        b0 = max(labels) + 1
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b1", len(self.edge_set) - len(labels) + b0)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -206,12 +204,6 @@ class SubgraphMask:
     def __contains__(self, i: int) -> bool:
         return i in self.edge_set
 
-    def component_labels(self) -> list[int]:
-        return components_of(
-            self.graph.num_vertices,
-            (self.graph.edges[i] for i in self.edge_set),
-        )
-
     def is_spanning_tree(self) -> bool:
         return self.b0 == 1 and self.b1 == 0
 
@@ -222,11 +214,6 @@ class SubgraphMask:
         """Product of the weights of the edges in the mask."""
         idx = list(self.edge_set)
         return float(np.prod(self.graph.weights[idx])) if idx else 1.0
-
-
-def boundary_matrix(g: WeightedGraph) -> np.ndarray:
-    """Integer boundary matrix (num_vertices x num_edges)."""
-    return g.boundary.copy()
 
 
 def _tree_adjacency(g: WeightedGraph, tree: SubgraphMask) -> list[list[tuple[int, int]]]:
@@ -297,16 +284,10 @@ def fundamental_cut(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
     of the vertex set on the head side of e.
     """
     _require_spanning_tree(tree)
-    cochain = np.zeros(g.num_edges, dtype=int)
     if e not in tree.edge_set:
-        return cochain
-    head = g.edges[e][1]
-    rest = SubgraphMask(g, tree.edge_set - {e})
-    labels = rest.component_labels()
-    side = labels[head]
-    for j, (t, h) in enumerate(g.edges):
-        cochain[j] = (labels[h] == side) - (labels[t] == side)
-    return cochain
+        return np.zeros(g.num_edges, dtype=int)
+    labels = np.array(g.mask(tree.edge_set - {e}).labels)
+    return g.coboundary @ (labels == labels[g.edges[e][1]]).astype(int)
 
 
 def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None) -> SubgraphMask:
@@ -344,24 +325,6 @@ def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.nd
     return np.array(cols, dtype=int).T.reshape(g.num_edges, -1)
 
 
-def enumerate_spanning_trees(g: WeightedGraph, cap: int | None = None) -> list[SubgraphMask]:
-    """All spanning trees, by exhaustive check of (|V|-1)-subsets."""
-    check_enumeration_cap(g.num_edges, cap)
-    k = g.num_vertices - 1
-    trees = []
-    for combo in itertools.combinations(range(g.num_edges), k):
-        uf = _UnionFind(g.num_vertices)
-        ok = True
-        for i in combo:
-            t, h = g.edges[i]
-            if t == h or not uf.union(t, h):
-                ok = False
-                break
-        if ok:
-            trees.append(SubgraphMask(g, frozenset(combo)))
-    return trees
-
-
 def quotient_by_forest(g: WeightedGraph, forest: SubgraphMask) -> tuple[WeightedGraph, list[int]]:
     """Contract an acyclic spanning subgraph.
 
@@ -372,7 +335,7 @@ def quotient_by_forest(g: WeightedGraph, forest: SubgraphMask) -> tuple[Weighted
     """
     if forest.b1 != 0:
         raise ForestHasCycle("cannot contract a subgraph containing a cycle")
-    labels = forest.component_labels()
+    labels = forest.labels
     kept: list[int] = []
     edges = []
     weights = []

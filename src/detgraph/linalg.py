@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficient
-
 RANK_RTOL = 1e-10
 
 
@@ -33,12 +31,11 @@ def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.asarray(forms, dtype=complex) * np.sqrt(np.asarray(x))[:, None]
 
 
-def orthonormalize(columns: np.ndarray, rtol: float = RANK_RTOL,
-                   scale: float | None = None) -> np.ndarray:
+def orthonormalize(columns: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span (standard inner product).
 
     The left singular vectors of a LAPACK SVD whose singular values exceed
-    rtol times `scale`; the default scale is the largest input column norm.
+    RANK_RTOL times `scale`; the default scale is the largest input column norm.
     Pass an explicit scale when the columns are residuals of vectors with a
     known larger magnitude.
     """
@@ -50,7 +47,7 @@ def orthonormalize(columns: np.ndarray, rtol: float = RANK_RTOL,
     if scale == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, s > rtol * scale]
+    return u[:, s > RANK_RTOL * scale]
 
 
 def extend_frame(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -87,27 +84,3 @@ def bilinear_gram_det(x: np.ndarray, vectors: np.ndarray) -> complex:
     # optimize=True contracts through BLAS, ~40x faster than the plain loop at 420 edges
     m = np.einsum("e,ei,ej->ij", np.asarray(x, dtype=complex), v.conj(), v, optimize=True)
     return complex(np.linalg.det(m))
-
-
-def schur_split_det(u: np.ndarray, h_columns: np.ndarray) -> tuple[float, float]:
-    """Split det(u* u) along a subspace H of the domain.
-
-    Returns (det over the complement of H, det of the compression of u* P u
-    on H, with P the projection away from the image of the complement part).
-    The product of the two factors equals det(u* u).
-    """
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[1]
-    h = np.asarray(h_columns, dtype=complex).reshape(u.shape[1], -1)
-    qh = orthonormalize(h)
-    qperp = orthonormalize(np.eye(n) - qh @ qh.conj().T)
-    if qh.shape[1] + qperp.shape[1] != n:
-        raise RankDeficient("subspace split does not fill the domain")
-    a = u @ qperp
-    det_perp = float(np.linalg.det(a.conj().T @ a).real) if a.shape[1] else 1.0
-    qa = orthonormalize(a)
-    proj_off = np.eye(u.shape[0], dtype=complex) - qa @ qa.conj().T
-    b = u @ qh
-    m = b.conj().T @ proj_off @ b
-    det_h = float(np.linalg.det(m).real) if m.shape[0] else 1.0
-    return det_perp, det_h

@@ -189,13 +189,8 @@ def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> Sub
 
 def component_cuts(g: WeightedGraph, mask: SubgraphMask) -> np.ndarray:
     """Cut cochains separating each component of the mask except the last."""
-    labels = np.array(mask.component_labels())
-    cuts = []
-    for comp in range(mask.b0 - 1):
-        inside = labels == comp
-        col = np.array([int(inside[h]) - int(inside[t]) for t, h in g.edges])
-        cuts.append(col)
-    return np.array(cuts, dtype=int).T.reshape(g.num_edges, -1)
+    inside = np.array(mask.labels)[:, None] == np.arange(mask.b0 - 1)
+    return g.coboundary @ inside.astype(int)
 
 
 def forest_weight(g: WeightedGraph, mask: SubgraphMask, phi: np.ndarray) -> SubgraphWeight:
@@ -251,7 +246,7 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     independent cycles are rejected outright.
     """
     h = np.asarray(connection, dtype=complex)
-    labels = np.array(mask.component_labels())
+    labels = mask.labels
     comp_b1 = _per_component_b1(g, mask.edge_set, labels)
     if any(b > 1 for b in comp_b1):
         raise ValueError("component with two or more independent cycles")
@@ -338,14 +333,8 @@ _DRAWS = {
 _DUAL_FORM = {"theta": "phi", "phi": "theta"}
 
 
-def _betti(edges: Collection[int], labels) -> tuple[int, int]:
-    b0 = max(labels) + 1
-    return b0, len(edges) - len(labels) + b0
-
-
-def _mixed_law(g, edges, labels, k, l) -> bool:
-    b0, b1 = _betti(edges, labels)
-    return b0 - b1 == k - l + 1 and max(0, l - k) <= b1 <= l
+def _mixed_law(mask: SubgraphMask, k: int, l: int) -> bool:
+    return mask.b0 - mask.b1 == k - l + 1 and max(0, l - k) <= mask.b1 <= l
 
 
 @dataclass(frozen=True)
@@ -354,9 +343,8 @@ class Variant:
 
     size: Callable[[int, int, int], int]          # sample size from (|V|, k, l)
     frame: Callable[..., np.ndarray]              # (g, x, spec) -> omega frame of the range
-    # support law: (g, edge indices, component label per vertex, k, l) ->
-    # bool, on integer topology only so the oracle can filter raw subsets
-    support: Callable[..., bool]
+    # support law: (mask, k, l) -> bool, on the mask's integer topology only
+    support: Callable[[SubgraphMask, int, int], bool]
     weight: Callable[..., float] | None           # (g, mask, spec) -> weight, if closed form
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
     family: str                                   # oracle family enumerating the support
@@ -367,27 +355,27 @@ VARIANT_TABLE: dict[str, Variant] = {
     "ust": Variant(
         size=lambda n, k, l: n - 1,
         frame=lambda g, x, spec: _frame_exact_forms(g, x),
-        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (1, 0),
+        support=lambda mask, k, l: (mask.b0, mask.b1) == (1, 0),
         weight=lambda g, mask, spec: mask.weight_monomial(),
         forms={}, family="connected", dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
         frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x), to_omega(x, spec.theta)),
-        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (1, k),
+        support=lambda mask, k, l: (mask.b0, mask.b1) == (1, k),
         weight=lambda g, mask, spec: cycle_weight(g, mask, spec.theta).value,
         forms={"theta": "k"}, family="connected", dual="forest"),
     "forest": Variant(
         size=lambda n, k, l: n - 1 - k,
         frame=lambda g, x, spec: _forest_core_frame(g, x, spec.phi),
-        support=lambda g, edges, labels, k, l: _betti(edges, labels) == (k + 1, 0),
+        support=lambda mask, k, l: (mask.b0, mask.b1) == (k + 1, 0),
         weight=lambda g, mask, spec: forest_weight(g, mask, spec.phi).value,
         forms={"phi": "k"}, family="forest", dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
         frame=lambda g, x, spec: orthonormalize(
             to_omega(x, twisted_differential(g, spec.connection))),
-        support=lambda g, edges, labels, k, l: all(
-            b == 1 for b in _per_component_b1(g, edges, labels)),
+        support=lambda mask, k, l: all(
+            b == 1 for b in _per_component_b1(mask.graph, mask.edge_set, mask.labels)),
         weight=lambda g, mask, spec: crsf_weight(g, mask, spec.connection).value,
         forms={"connection": None}, family="crsf"),
     "mixed": Variant(
@@ -461,8 +449,7 @@ def random_spec(g: WeightedGraph, variant: str, k: int, l: int, seed: int,
 
 def sample_in_support(spec: MeasureSpec, mask: SubgraphMask) -> bool:
     """Whether a sample satisfies the topological support law of its measure."""
-    return VARIANT_TABLE[spec.variant].support(
-        mask.graph, mask.edge_set, mask.component_labels(), spec.k, spec.l)
+    return VARIANT_TABLE[spec.variant].support(mask, spec.k, spec.l)
 
 
 def forms_to_json(theta=None, phi=None, connection=None) -> str:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import dpp, matroid as matroid_mod, measures, polynomials
-from .graph import (SubgraphMask, WeightedGraph, check_enumeration_cap, components_of,
-                    enumerate_spanning_trees)
+from .graph import SubgraphMask, WeightedGraph, check_enumeration_cap
 
 DENSITY_TOL = 1e-9
 POLY_RTOL = 1e-9
@@ -49,27 +49,25 @@ class OracleReport:
         }
 
 
-def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0,
-                     cap: int | None = None) -> list[SubgraphMask]:
+def enumerate_family(g: WeightedGraph, family: str, k: int = 0,
+                     l: int = 0) -> list[SubgraphMask]:
     """Exact subgraph family by exhaustive filtering with a support law.
 
     family is a variant name of measures.VARIANT_TABLE: "connected" (b1 = k,
     connected spanning; "ust" is its k = 0 case), "forest" (acyclic, k+1
     components), "crsf" (every component unicyclic), or "mixed" (Euler
-    characteristic k-l+1 with the b1 window).
+    characteristic k-l+1 with the b1 window).  Each scanned subset's topology
+    is computed once, by its mask, and the members are those masks.
     """
-    check_enumeration_cap(g.num_edges, cap)
+    check_enumeration_cap(g.num_edges)
     variant = measures.variant_of(family)
     size = variant.size(g.num_vertices, k, l)
     if size < 0 or size > g.num_edges:
         return []
     support = variant.support
-    out = []
-    for subset in itertools.combinations(range(g.num_edges), size):
-        labels = components_of(g.num_vertices, (g.edges[i] for i in subset))
-        if support(g, subset, labels, k, l):
-            out.append(g.mask(subset))
-    return out
+    masks = (SubgraphMask(g, frozenset(subset))
+             for subset in itertools.combinations(range(g.num_edges), size))
+    return [mask for mask in masks if support(mask, k, l)]
 
 
 def combinatorial_weight(g: WeightedGraph, spec: measures.MeasureSpec,
@@ -81,18 +79,17 @@ def combinatorial_weight(g: WeightedGraph, spec: measures.MeasureSpec,
 
 
 def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
-                    tolerance: float = DENSITY_TOL,
-                    cap: int | None = None) -> OracleReport:
+                    tolerance: float = DENSITY_TOL) -> OracleReport:
     """Normalized combinatorial weights against kernel densities, per element.
 
     Also scans every subset of the sample cardinality for support mismatches:
     positive density outside the family, or positive weight with zero density.
     """
     start = time.monotonic()
-    check_enumeration_cap(g.num_edges, cap)
+    check_enumeration_cap(g.num_edges)
     kernel = measures.build_kernel(g, spec)
     fam = enumerate_family(g, measures.VARIANT_TABLE[spec.variant].family,
-                           k=spec.k, l=spec.l, cap=cap)
+                           k=spec.k, l=spec.l)
     weights = {m.indices: combinatorial_weight(g, spec, m) for m in fam}
     total = sum(weights.values())
     report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
@@ -110,35 +107,32 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
     return report
 
 
-def tree_sum(g: WeightedGraph, x: np.ndarray | None = None,
-             cap: int | None = None) -> float:
+def tree_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     """Defining sum of the tree polynomial."""
     x = g.weights if x is None else np.asarray(x)
     total = 0.0
-    for t in enumerate_spanning_trees(g, cap=cap):
+    for t in enumerate_family(g, "connected"):
         idx = list(t.edge_set)
         total += float(np.prod(x[idx])) if idx else 1.0
     return total
 
 
-def psi1_sum(g: WeightedGraph, x: np.ndarray | None = None,
-             cap: int | None = None) -> float:
+def psi1_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     x = g.weights if x is None else np.asarray(x)
     total = 0.0
-    for t in enumerate_spanning_trees(g, cap=cap):
+    for t in enumerate_family(g, "connected"):
         others = [i for i in range(g.num_edges) if i not in t.edge_set]
         total += float(np.prod(x[others])) if others else 1.0
     return total
 
 
-def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray,
-             cap: int | None = None) -> float:
+def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:
     """Defining sum of the second Symanzik polynomial over 2-forests."""
     x = np.asarray(x)
     q = np.asarray(q, dtype=complex)
     total = 0.0
-    for f in enumerate_family(g, "forest", k=1, cap=cap):
-        labels = np.array(f.component_labels())
+    for f in enumerate_family(g, "forest", k=1):
+        labels = np.array(f.labels)
         charge = complex(q[labels == 0].sum())
         others = [i for i in range(g.num_edges) if i not in f.edge_set]
         mono = float(np.prod(x[others])) if others else 1.0
@@ -147,23 +141,21 @@ def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray,
 
 
 def connected_poly_sum(g: WeightedGraph, x: np.ndarray | None,
-                       theta: np.ndarray, cap: int | None = None) -> float:
-    return _weight_sum(g, x, measures.MeasureSpec.connected_k(theta), cap)
+                       theta: np.ndarray) -> float:
+    return _weight_sum(g, x, measures.MeasureSpec.connected_k(theta))
 
 
-def forest_poly_sum(g: WeightedGraph, x: np.ndarray | None,
-                    phi: np.ndarray, cap: int | None = None) -> float:
-    return _weight_sum(g, x, measures.MeasureSpec.forest_k(phi), cap)
+def forest_poly_sum(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> float:
+    return _weight_sum(g, x, measures.MeasureSpec.forest_k(phi))
 
 
-def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSpec,
-                cap: int | None) -> float:
+def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSpec) -> float:
     """Defining sum of a measure's partition function at weights x."""
     gx = WeightedGraph(g.num_vertices, g.edges,
                        np.asarray(g.weights if x is None else x, dtype=float))
     weight = measures.VARIANT_TABLE[spec.variant].weight
     return sum(weight(gx, mask, spec)
-               for mask in enumerate_family(gx, spec.variant, k=spec.k, cap=cap))
+               for mask in enumerate_family(gx, spec.variant, k=spec.k))
 
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,
@@ -201,29 +193,45 @@ def matroid_L_sum(m: matroid_mod.LinearMatroid, theta: np.ndarray,
     return total
 
 
+@dataclass(frozen=True)
+class Polynomial:
+    """One partition-function polynomial: two evaluations of (g, x, *extra)."""
+
+    route: Callable[..., complex]        # determinant route, polynomials module
+    defining_sum: Callable[..., float]   # defining sum, this module
+    extra: str | None                    # the one extra input: "q", "theta" or "phi"
+
+
+# The lambdas look each function up when called, so a replaced module
+# attribute (a tracing wrapper, say) is the one that runs.
+POLYNOMIALS: dict[str, Polynomial] = {
+    "T": Polynomial(lambda g, x: polynomials.kirchhoff_T(g, x),
+                    lambda g, x: tree_sum(g, x), None),
+    "psi1": Polynomial(lambda g, x: polynomials.symanzik_psi1(g, x),
+                       lambda g, x: psi1_sum(g, x), None),
+    "psi2": Polynomial(lambda g, x, q: polynomials.symanzik_psi2(g, x, q),
+                       lambda g, x, q: psi2_sum(g, x, q), "q"),
+    "C": Polynomial(lambda g, x, theta: polynomials.generalized_C(g, x, theta),
+                    lambda g, x, theta: connected_poly_sum(g, x, theta), "theta"),
+    "A": Polynomial(lambda g, x, phi: polynomials.generalized_A(g, x, phi),
+                    lambda g, x, phi: forest_poly_sum(g, x, phi), "phi"),
+}
+
+
 def compare_polynomial(g: WeightedGraph, which: str, x: np.ndarray | None = None,
                        theta: np.ndarray | None = None,
                        phi: np.ndarray | None = None,
-                       q: np.ndarray | None = None,
-                       cap: int | None = None) -> OracleReport:
+                       q: np.ndarray | None = None) -> OracleReport:
     """Determinant route against the defining sum, in relative error."""
     start = time.monotonic()
     x = g.weights if x is None else np.asarray(x)
-    if which == "T":
-        fast, slow = polynomials.kirchhoff_T(g, x).real, tree_sum(g, x, cap=cap)
-    elif which == "psi1":
-        fast, slow = polynomials.symanzik_psi1(g, x).real, psi1_sum(g, x, cap=cap)
-    elif which == "psi2":
-        fast = polynomials.symanzik_psi2(g, x, q).real
-        slow = psi2_sum(g, x, q, cap=cap)
-    elif which == "C":
-        fast = polynomials.generalized_C(g, x, theta).real
-        slow = connected_poly_sum(g, x, theta, cap=cap)
-    elif which == "A":
-        fast = polynomials.generalized_A(g, x, phi).real
-        slow = forest_poly_sum(g, x, phi, cap=cap)
-    else:
-        raise ValueError(f"unknown polynomial {which!r}")
+    try:
+        poly = POLYNOMIALS[which]
+    except KeyError:
+        raise ValueError(f"unknown polynomial {which!r}") from None
+    extra = () if poly.extra is None else ({"q": q, "theta": theta, "phi": phi}[poly.extra],)
+    fast = poly.route(g, x, *extra).real
+    slow = poly.defining_sum(g, x, *extra)
     scale = max(abs(fast), abs(slow), 1e-300)
     report = OracleReport(instance=f"{which} on {g.num_edges} edges")
     report.max_poly_rel_error = abs(fast - slow) / scale

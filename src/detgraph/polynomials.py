@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SubgraphMask, WeightedGraph, fundamental_cut, min_index_spanning_tree
+from .errors import NumericDegeneracy
+from .graph import SubgraphMask, WeightedGraph, cut_space_basis, cycle_space_basis
 from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega
-from .measures import _frame_exact_forms, integral_cycle_basis_of
+from .measures import _frame_exact_forms
 
 
 def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
@@ -36,7 +37,14 @@ def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
 def symanzik_psi1(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
     """First Symanzik polynomial: sum over trees of the complement monomial."""
     x = g.weights if x is None else np.asarray(x)
-    return _realify(np.prod(x) * kirchhoff_T(g, 1.0 / x))
+    return _realify(np.prod(x) * kirchhoff_T(g, _inverse(x)))
+
+
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """1/x for the routes that divide by the weights, refusing a zero weight."""
+    if np.any(x == 0):
+        raise NumericDegeneracy("this determinant route divides by the weights, and one is 0")
+    return 1.0 / x
 
 
 def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
@@ -56,7 +64,7 @@ def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
     """
     x = np.asarray(x)
     phi = flow_with_divergence(g, q)
-    return _realify(np.prod(x) * generalized_A(g, 1.0 / x, phi[:, None]))
+    return _realify(np.prod(x) * generalized_A(g, _inverse(x), phi[:, None]))
 
 
 def _domain_frames_C(g: WeightedGraph) -> np.ndarray:
@@ -94,10 +102,9 @@ def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> co
     """
     x = g.weights if x is None else np.asarray(x)
     phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
-    cycles = integral_cycle_basis_of(g, g.full_mask()).astype(complex)
-    fam = np.hstack([cycles, phi])
+    fam = np.hstack([cycle_space_basis(g).astype(complex), phi])
     x = np.asarray(x, dtype=complex)
-    return _realify(np.prod(x) * bilinear_gram_det(1.0 / x, fam.conj()))
+    return _realify(np.prod(x) * bilinear_gram_det(_inverse(x), fam.conj()))
 
 
 def _realify(z) -> complex:
@@ -169,13 +176,8 @@ def torus_volume(g: WeightedGraph, x: np.ndarray | None = None,
     the number of spanning trees.
     """
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    if tree is None:
-        tree = min_index_spanning_tree(g)
-    cycles = integral_cycle_basis_of(g, g.full_mask()).astype(complex)
-    jcycles = j_x_columns(x, cycles)
-    cuts = np.array([fundamental_cut(g, tree, e) for e in tree.indices],
-                    dtype=complex).T.reshape(g.num_edges, -1)
-    fam = np.hstack([jcycles, cuts])
+    jcycles = j_x_columns(x, cycle_space_basis(g))
+    fam = np.hstack([jcycles, cut_space_basis(g, tree)])
     return float(np.sqrt(max(gram_det(x, fam), 0.0)))
 
 
@@ -191,8 +193,7 @@ class StabilityReport:
         return (not self.degenerate) and self.min_abs >= 1e-12 * self.max_abs
 
 
-def stability_spot_check(evaluate, num_edges: int, trials: int, seed: int,
-                         rng_stream=None) -> StabilityReport:
+def stability_spot_check(evaluate, num_edges: int, trials: int, seed: int) -> StabilityReport:
     """Probe a polynomial at random points with positive imaginary parts.
 
     `evaluate` maps a complex weight vector to a value.  Points are drawn
@@ -200,7 +201,7 @@ def stability_spot_check(evaluate, num_edges: int, trials: int, seed: int,
     1e-12 times the observed scale falsifies stability.
     """
     from . import rng as _rng
-    gen = _rng.stream(seed, _rng.TAG_SAMPLER) if rng_stream is None else rng_stream
+    gen = _rng.stream(seed, _rng.TAG_SAMPLER)
     values = []
     for _ in range(trials):
         re = gen.uniform(-1.0, 1.0, num_edges)

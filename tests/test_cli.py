@@ -1,9 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import detgraph as dg
+from detgraph import oracle
 from detgraph.cli import main
 
 
@@ -107,7 +113,7 @@ class TestPoly:
                    "-o", str(out)) == 0
         payload = json.loads(out.read_text())
         g = dg.WeightedGraph.from_json(grid_file.read_text())
-        expected = len(dg.enumerate_spanning_trees(g, cap=12))
+        expected = len(oracle.enumerate_family(g, "ust"))
         assert payload["value"][0] == pytest.approx(expected)
         assert payload["method"] == "determinant"
 
@@ -128,6 +134,39 @@ class TestPoly:
         assert run("poly", "--graph", str(out), "--which", "T",
                    "--weights", "2.0,3.0", "-o", str(val)) == 0
         assert json.loads(val.read_text())["value"][0] == pytest.approx(6.0)
+
+    # non-finite inputs are refused (exit 2), and so are zero weights where the
+    # determinant route divides by the weights (exit 3); a zero weight elsewhere
+    # is a valid point of the polynomial
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("which, weights, q, code", [
+        ("T", "nan,1,1,1", None, 2), ("T", "inf,1,1,1", None, 2),
+        ("psi2", "1,1,1,1", "nan,-1,0,0", 2), ("psi1", "0,1,1,1", None, 3),
+        ("psi2", "0,1,1,1", "1,-1,0,0", 3), ("A", "0,1,1,1", None, 3),
+        ("T", "0,1,1,1", None, 0), ("C", "0,1,1,1", None, 0),
+    ])
+    def test_weights_it_cannot_evaluate(self, which, weights, q, code, tmp_path, capsys):
+        graph, out = tmp_path / "g.json", tmp_path / "v.json"
+        run("gen-grid", "--rows", "2", "--cols", "2", "-o", str(graph))
+        charge = () if q is None else (f"--q={q}",)
+        assert run("poly", "--graph", str(graph), "--which", which,
+                   "--weights", weights, *charge, "-o", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
+        if code == 0:
+            assert np.all(np.isfinite(json.loads(out.read_text())["value"]))
+        else:
+            assert not out.exists()
+
+    # the determinant overflows (numpy warns); the value is refused, not printed
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("which, weights", [("T", "1e200"), ("psi1", "1e-200")])
+    def test_value_that_overflows_exits_3(self, which, weights, tmp_path, capsys):
+        graph, out = tmp_path / "g.json", tmp_path / "v.json"
+        run("gen-grid", "--rows", "2", "--cols", "2", "-o", str(graph))
+        assert run("poly", "--graph", str(graph), "--which", which,
+                   "--weights", ",".join([weights] * 4), "-o", str(out)) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerify:
@@ -244,6 +283,24 @@ def test_render_with_out_of_range_edge_exits_2(edges, tmp_path, capsys):
     assert run("render", "--graph", str(graph), "--sample", str(samples),
                "-o", str(tmp_path / "out.svg")) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_vertex_count_beyond_memory_exits_2_at_once(tmp_path):
+    # too few edges to connect 10^12 vertices: refused before the union-find
+    # allocates per vertex; the child runs with 2 GB of address space
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"num_vertices": 10 ** 12, "edges": []}))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "detgraph.cli", "sample", "--graph", str(graph),
+         "--measure", "ust"], capture_output=True, text=True, timeout=60,
+        preexec_fn=limit_memory, env={**os.environ, "PYTHONPATH": str(Path(dg.__file__).parents[1])})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "connected" in proc.stderr
 
 
 @pytest.mark.parametrize("field, value", [

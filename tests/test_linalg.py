@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import detgraph as dg
+from detgraph import oracle
 from detgraph.linalg import bilinear_gram_det, gram_det, orthonormalize, to_omega
 from detgraph.measures import _frame_exact_forms
 
@@ -93,7 +94,7 @@ class TestGramDet:
         # weights: derived by enumerating the three spanning trees
         gamma = dg.cycle_space_basis(triangle).astype(complex)
         jg = dg.j_x(np.ones(3), gamma[:, 0])
-        expected = len(dg.enumerate_spanning_trees(triangle))
+        expected = len(oracle.enumerate_family(triangle, "ust"))
         assert gram_det(np.ones(3), [jg]) == pytest.approx(expected)
 
     def test_pythagoras_minor_expansion(self):
@@ -114,32 +115,6 @@ class TestGramDet:
         fam = _random_forms(rng, 5, 2)
         assert bilinear_gram_det(x, fam).real == pytest.approx(
             gram_det(x, fam), rel=1e-10)
-
-
-class TestSchurSplit:
-    def test_trivial_subspace(self):
-        rng = np.random.default_rng(11)
-        u = rng.standard_normal((6, 4))
-        full = float(np.linalg.det(u.T @ u))
-        d1, d2 = dg.schur_split_det(u, np.zeros((4, 0)))
-        assert d1 == pytest.approx(full, rel=1e-10)
-        assert d2 == pytest.approx(1.0)
-
-    def test_whole_domain(self):
-        rng = np.random.default_rng(12)
-        u = rng.standard_normal((6, 4))
-        full = float(np.linalg.det(u.T @ u))
-        d1, d2 = dg.schur_split_det(u, np.eye(4))
-        assert d1 == pytest.approx(1.0)
-        assert d2 == pytest.approx(full, rel=1e-10)
-
-    def test_product_identity(self):
-        rng = np.random.default_rng(13)
-        u = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-        h = rng.standard_normal((4, 2))
-        full = float(np.linalg.det(u.conj().T @ u).real)
-        d1, d2 = dg.schur_split_det(u, h)
-        assert d1 * d2 == pytest.approx(full, rel=1e-9)
 
 
 class TestOrthonormalize:

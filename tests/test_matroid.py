@@ -37,7 +37,7 @@ class TestConstruction:
 
     def test_graph_incidence_gives_circular_matroid(self, triangle):
         m = mm.from_matrix(triangle.boundary.astype(float), triangle.weights)
-        trees = {t.indices for t in dg.enumerate_spanning_trees(triangle)}
+        trees = {t.indices for t in oracle.enumerate_family(triangle, "ust")}
         assert set(m.bases) == trees
 
     def test_json_roundtrip(self):
@@ -317,7 +317,7 @@ class TestCircuitBasisIdentity:
         cyc = dg.cycle_space_basis(g)
         m = mm.from_matrix(cyc.T.astype(float), g.weights)
         co_trees = {tuple(sorted(set(range(g.num_edges)) - set(t.indices)))
-                    for t in dg.enumerate_spanning_trees(g)}
+                    for t in oracle.enumerate_family(g, "ust")}
         assert set(m.bases) == co_trees
         cuts = dg.cut_space_basis(g).astype(complex)
         rep = mm.circuit_basis_identity_check(m, cuts)

@@ -105,7 +105,7 @@ class TestCycleWeight:
         # recompute against a different integral cycle basis: fundamental
         # cycles of the lexicographically largest spanning tree
         from detgraph.graph import fundamental_cycle
-        trees = dg.enumerate_spanning_trees(g)
+        trees = oracle.enumerate_family(g, "ust")
         other = max(trees, key=lambda t: t.indices)
         cycles = np.column_stack([
             fundamental_cycle(g, other, e)
@@ -149,13 +149,24 @@ class TestForestWeight:
         phi = _phi(g, 2, seed=7)
         w = dg.forest_weight(g, mask, phi)
         # recompute with cuts omitting the first component instead of the last
-        labels = np.array(mask.component_labels())
+        labels = np.array(mask.labels)
         cuts = []
         for comp in range(1, mask.b0):
             inside = labels == comp
             cuts.append([int(inside[h]) - int(inside[t]) for t, h in g.edges])
         alt = abs(np.linalg.det(phi.T @ np.array(cuts).T)) ** 2 * mask.weight_monomial()
         assert w.value == pytest.approx(alt, rel=1e-12)
+
+    def test_component_cuts_equal_the_per_edge_definition(self):
+        rng = np.random.default_rng(9)
+        g = random_connected_graph(rng, 9)
+        g = dg.WeightedGraph(g.num_vertices, [*g.edges, (0, 0)])
+        forest = dg.min_index_spanning_tree(g)
+        mask = g.mask(set(forest.edge_set) - set(forest.indices[:3]))
+        labels = mask.labels
+        expected = [[int(labels[h] == c) - int(labels[t] == c) for c in range(mask.b0 - 1)]
+                    for t, h in g.edges]
+        assert measures.component_cuts(g, mask).tolist() == expected
 
     def test_cycle_raises(self, triangle):
         with pytest.raises(ValueError, match="cycle"):
@@ -204,7 +215,7 @@ class TestCrsfWeight:
         total = 0.0
         for subset in itertools.combinations(range(g.num_edges), g.num_vertices):
             mask = g.mask(subset)
-            labels = np.array(mask.component_labels())
+            labels = np.array(mask.labels)
             from detgraph.measures import _per_component_b1
             if any(b > 1 for b in _per_component_b1(g, mask.edge_set, labels)):
                 continue
@@ -244,8 +255,8 @@ class TestDualTransport:
         from detgraph.planar import triangle_embedding
         g, faces = triangle_embedding()
         dual_inv, spec, pd = dg.dual_transport(g, faces, MeasureSpec.ust())
-        trees_primal = {t.indices for t in dg.enumerate_spanning_trees(g)}
-        trees_dual = {t.indices for t in dg.enumerate_spanning_trees(dual_inv)}
+        trees_primal = {t.indices for t in oracle.enumerate_family(g, "ust")}
+        trees_dual = {t.indices for t in oracle.enumerate_family(dual_inv, "ust")}
         complements = {tuple(sorted(set(range(3)) - set(t))) for t in trees_primal}
         assert trees_dual == complements
 

@@ -1,3 +1,4 @@
+import sys
 import time
 
 import numpy as np
@@ -43,10 +44,11 @@ class TestEnumerateFamily:
             assert m.b0 - m.b1 == 1
             assert 0 <= m.b1 <= 1
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         g = dg.grid_graph(3, 3)
+        monkeypatch.setenv("DETGRAPH_ENUM_CAP", "5")
         with pytest.raises(EnumerationCapExceeded):
-            oracle.enumerate_family(g, "forest", k=1, cap=5)
+            oracle.enumerate_family(g, "forest", k=1)
 
     def test_cayley_counts(self):
         # complete-graph tree counts against the closed form n^(n-2),
@@ -90,6 +92,24 @@ class TestCompareMeasure:
         rep = oracle.compare_measure(g, dg.MeasureSpec.ust())
         assert victim in rep.support_mismatches
 
+    # union-find passes on the 9-edge graph of test_distribution.py: one per
+    # scanned subset of the sample size, plus, for connected only, at most one
+    # per member for the min-index tree of its cycle basis (65 members)
+    @pytest.mark.parametrize("variant, subsets, at_most", [
+        ("ust", 126, 126), ("forest", 126, 126), ("crsf", 84, 84), ("connected", 84, 84 + 65)])
+    def test_each_topology_computed_once(self, variant, subsets, at_most, monkeypatch):
+        weights = np.random.default_rng(3).uniform(0.5, 2.0, 9)
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)], weights)
+        spec = measures.random_spec(g, variant, 1, 1, 11)
+        passes = []
+        components_of = dg.graph.components_of
+        for name, module in list(sys.modules.items()):  # wherever a module holds it
+            if name.startswith("detgraph") and vars(module).get("components_of") is components_of:
+                monkeypatch.setattr(module, "components_of",
+                                    lambda *args: passes.append(1) or components_of(*args))
+        assert oracle.compare_measure(g, spec).passed
+        assert subsets <= len(passes) <= at_most
+
 
 class TestComparePolynomial:
     def test_all_routes_on_grid(self):
@@ -109,7 +129,7 @@ class TestComparePolynomial:
         g = dg.grid_graph(2, 6)
         assert g.num_edges == 16
         start = time.monotonic()
-        rep = oracle.compare_polynomial(g, "T", cap=16)
+        rep = oracle.compare_polynomial(g, "T")
         elapsed = time.monotonic() - start
         assert rep.max_poly_rel_error < 1e-9
         assert elapsed < 60.0
