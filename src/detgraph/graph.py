@@ -216,49 +216,83 @@ class SubgraphMask:
         return float(np.prod(self.graph.weights[idx])) if idx else 1.0
 
 
-def _tree_adjacency(g: WeightedGraph, tree: SubgraphMask) -> list[list[tuple[int, int]]]:
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
-    for i in tree.edge_set:
-        t, h = g.edges[i]
-        adj[t].append((h, i))
-        adj[h].append((t, i))
-    return adj
+def _min_index_forest(g: WeightedGraph, pool: Iterable[int]) -> set[int]:
+    """Greedy spanning forest of the pool: each edge, in pool order, that joins two components."""
+    uf = _UnionFind(g.num_vertices)
+    return {i for i in pool if uf.union(*g.edges[i])}
 
 
-def _tree_path(g: WeightedGraph, tree: SubgraphMask, start: int, goal: int) -> list[tuple[int, int]]:
-    """Edges of the unique tree path start -> goal as (edge index, direction)."""
-    if start == goal:
-        return []
-    adj = _tree_adjacency(g, tree)
-    prev: dict[int, tuple[int, int]] = {}
-    stack = [start]
-    seen = {start}
-    while stack:
-        u = stack.pop()
-        if u == goal:
-            break
-        for v, i in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                prev[v] = (u, i)
-                stack.append(v)
-    if goal not in seen:
-        raise NotASpanningTree("vertices not connected in the given tree")
-    path = []
-    v = goal
-    while v != start:
-        u, i = prev[v]
-        tail, head = g.edges[i]
-        # traversing u -> v uses the edge forward iff (tail, head) == (u, v)
-        path.append((i, 1 if (tail, head) == (u, v) else -1))
-        v = u
-    path.reverse()
-    return path
+class _RootedForest:
+    """A forest with each component rooted at its smallest vertex.
+
+    For each vertex v, parent_edge[v] is the forest edge from v towards its
+    root (-1 at a root), parent[v] the vertex across it and depth[v] the number
+    of edges up to the root; order lists the vertices parents first.  Every
+    fundamental cycle and cut is read off this one record.
+    """
+
+    def __init__(self, g: WeightedGraph, forest_edges: Iterable[int]):
+        n = g.num_vertices
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for i in forest_edges:
+            t, h = g.edges[i]
+            adj[t].append((h, i))
+            adj[h].append((t, i))
+        self.graph, self.order = g, []
+        self.parent_edge, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n
+        for root in range(n):  # ascending, so each root is its component's smallest vertex
+            if self.depth[root] < 0:
+                self.depth[root] = 0
+                queue = [root]
+                for u in queue:  # breadth first: the queue grows while it is read
+                    for v, i in adj[u]:
+                        if self.depth[v] < 0:
+                            self.parent_edge[v], self.parent[v] = i, u
+                            self.depth[v] = self.depth[u] + 1
+                            queue.append(v)
+                self.order += queue
+
+    def cycles(self, closing: Sequence[int]) -> np.ndarray:
+        """Fundamental cycles as columns: each edge e closed by the forest path
+        from head(e) back to tail(e).  Every e must join two vertices of one tree."""
+        edges, parent, parent_edge = self.graph.edges, self.parent, self.parent_edge
+        depth = self.depth
+        out = np.zeros((self.graph.num_edges, len(closing)), dtype=int)
+        for col, e in enumerate(closing):
+            out[e, col] = 1
+            v, u = edges[e]
+            # climb from both ends to where they meet: the path runs u -> parent[u]
+            # on the head side and parent[v] -> v on the tail side
+            while u != v:
+                if depth[u] >= depth[v]:
+                    i = parent_edge[u]
+                    out[i, col] = 1 if edges[i][0] == u else -1
+                    u = parent[u]
+                else:
+                    i = parent_edge[v]
+                    out[i, col] = -1 if edges[i][0] == v else 1
+                    v = parent[v]
+        return out
+
+    def cuts(self, forest_edges: Sequence[int]) -> np.ndarray:
+        """Fundamental cuts as columns: the coboundary of the subtree below each
+        forest edge, negated where the edge points up, so that it is the
+        coboundary of the edge's head side and +1 on the edge."""
+        edges = self.graph.edges
+        below = np.eye(self.graph.num_vertices, dtype=int)  # row v: the subtree below v
+        for v in reversed(self.order):
+            if self.parent[v] >= 0:
+                below[self.parent[v]] += below[v]
+        side = below[[v for e in forest_edges for v in edges[e] if self.parent_edge[v] == e]]
+        tails, heads = np.array(edges, dtype=int).reshape(-1, 2).T
+        cuts = side[:, heads] - side[:, tails]
+        return (cuts * cuts[np.arange(len(forest_edges)), list(forest_edges)][:, None]).T
 
 
-def _require_spanning_tree(tree: SubgraphMask) -> None:
+def _rooted_tree(g: WeightedGraph, tree: SubgraphMask) -> _RootedForest:
     if not tree.is_spanning_tree():
         raise NotASpanningTree("mask is not a spanning tree")
+    return _RootedForest(g, tree.edge_set)
 
 
 def fundamental_cycle(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
@@ -266,15 +300,8 @@ def fundamental_cycle(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarra
 
     Zero iff e lies in the tree.  Coefficients are in {-1, 0, +1}.
     """
-    _require_spanning_tree(tree)
-    chain = np.zeros(g.num_edges, dtype=int)
-    if e in tree.edge_set:
-        return chain
-    tail, head = g.edges[e]
-    chain[e] = 1
-    for i, sign in _tree_path(g, tree, head, tail):
-        chain[i] += sign
-    return chain
+    rooted = _rooted_tree(g, tree)
+    return np.zeros(g.num_edges, dtype=int) if e in tree.edge_set else rooted.cycles([e])[:, 0]
 
 
 def fundamental_cut(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
@@ -283,11 +310,8 @@ def fundamental_cut(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
     Zero iff e is not in the tree; otherwise the coboundary of the indicator
     of the vertex set on the head side of e.
     """
-    _require_spanning_tree(tree)
-    if e not in tree.edge_set:
-        return np.zeros(g.num_edges, dtype=int)
-    labels = np.array(g.mask(tree.edge_set - {e}).labels)
-    return g.coboundary @ (labels == labels[g.edges[e][1]]).astype(int)
+    rooted = _rooted_tree(g, tree)
+    return rooted.cuts([e])[:, 0] if e in tree.edge_set else np.zeros(g.num_edges, dtype=int)
 
 
 def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None) -> SubgraphMask:
@@ -297,32 +321,25 @@ def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None
     (the whole graph when `within` is None).  Reproducible by construction.
     """
     pool = range(g.num_edges) if within is None else within.indices
-    uf = _UnionFind(g.num_vertices)
-    chosen = set()
-    for i in pool:
-        t, h = g.edges[i]
-        if t != h and uf.union(t, h):
-            chosen.add(i)
-    return SubgraphMask(g, frozenset(chosen))
+    return g.mask(_min_index_forest(g, pool))
 
 
-def cycle_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.ndarray:
-    """Integral basis of the cycle space as columns, one per non-tree edge."""
-    if tree is None:
-        tree = min_index_spanning_tree(g)
-    _require_spanning_tree(tree)
-    cols = [fundamental_cycle(g, tree, e)
-            for e in range(g.num_edges) if e not in tree.edge_set]
-    return np.array(cols, dtype=int).T.reshape(g.num_edges, -1)
+def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -> np.ndarray:
+    """Integral basis of the cycle space of `within` (default: the graph) as columns.
+
+    The fundamental cycles of its min-index spanning forest, one per remaining
+    edge in ascending order, so the signs are reproducible.
+    """
+    pool = range(g.num_edges) if within is None else within.indices
+    forest = _min_index_forest(g, pool)
+    return _RootedForest(g, forest).cycles([e for e in pool if e not in forest])
 
 
 def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.ndarray:
     """Integral basis of the cut space as columns, one per tree edge."""
     if tree is None:
         tree = min_index_spanning_tree(g)
-    _require_spanning_tree(tree)
-    cols = [fundamental_cut(g, tree, e) for e in tree.indices]
-    return np.array(cols, dtype=int).T.reshape(g.num_edges, -1)
+    return _rooted_tree(g, tree).cuts(tree.indices)
 
 
 def quotient_by_forest(g: WeightedGraph, forest: SubgraphMask) -> tuple[WeightedGraph, list[int]]:

@@ -50,16 +50,27 @@ def orthonormalize(columns: np.ndarray, scale: float | None = None) -> np.ndarra
     return u[:, s > RANK_RTOL * scale]
 
 
+def unit_columns(columns: np.ndarray) -> np.ndarray:
+    """Columns scaled to unit norm, each first divided by its largest magnitude so
+    that its norm cannot overflow or underflow; zero columns stay zero."""
+    a = np.asarray(columns)
+    peak = np.abs(a).max(axis=0, initial=0.0)
+    a = a / np.where(peak > 0, peak, 1.0)
+    norm = np.linalg.norm(a, axis=0)
+    return a / np.where(norm > 0, norm, 1.0)
+
+
 def extend_frame(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Orthonormal frame q followed by a basis of the part of `columns` outside it.
 
-    The span and rank rule of orthonormalize(hstack([q, columns])), but only the
-    residual, projected off q twice ("twice is enough"), is decomposed.
+    The span of hstack([q, columns]), but only the residual of the unit columns,
+    projected off q twice ("twice is enough"), is decomposed; its rank counts
+    the singular values above RANK_RTOL, whatever the scale of `columns`.
     """
-    r = columns - q @ (q.conj().T @ columns)
+    c = unit_columns(columns)
+    r = c - q @ (q.conj().T @ c)
     r -= q @ (q.conj().T @ r)
-    scale = max(1.0, np.linalg.norm(columns, axis=0).max(initial=0.0))
-    return np.hstack([q, orthonormalize(r, scale=scale)])
+    return np.hstack([q, orthonormalize(r, scale=1.0)])
 
 
 def gram_det(x: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> float:

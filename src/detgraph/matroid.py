@@ -68,23 +68,19 @@ class LinearMatroid:
     def corank(self) -> int:
         return self.kernel_basis.shape[1]
 
-    def _subset_rank_ok(self, subset: tuple[int, ...]) -> bool:
-        return _numeric_rank(self.matrix[:, list(subset)]) == len(subset)
-
     def is_basis(self, subset) -> bool:
-        subset = tuple(sorted(subset))
-        return len(subset) == self.rank and self._subset_rank_ok(subset)
+        subset = sorted(subset)
+        return len(subset) == self.rank and self.is_independent(subset)
 
     def is_independent(self, subset) -> bool:
-        return self._subset_rank_ok(tuple(sorted(subset)))
+        subset = sorted(subset)
+        return _numeric_rank(self.matrix[:, subset]) == len(subset)
 
     @cached_property
     def bases(self) -> tuple[tuple[int, ...], ...]:
-        check_enumeration_cap(self.ground_size, what="elements")
-        out = [t for t in itertools.combinations(range(self.ground_size), self.rank)
-               if self._subset_rank_ok(t)]
+        out = tuple(self.bases_of_rank_k_extension(0))
         self._warn_conditioning(out)
-        return tuple(out)
+        return out
 
     def _warn_conditioning(self, bases) -> None:
         import warnings
@@ -100,6 +96,7 @@ class LinearMatroid:
 
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
+        check_enumeration_cap(self.ground_size, what="elements")
         return [subset for subset in itertools.combinations(range(self.ground_size), self.rank + k)
                 if _numeric_rank(self.matrix[:, list(subset)]) == self.rank]
 

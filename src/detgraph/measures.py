@@ -33,9 +33,8 @@ import numpy as np
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
-from .graph import (SubgraphMask, WeightedGraph, fundamental_cycle,
-                    min_index_spanning_tree)
-from .linalg import RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega
+from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
+from .linalg import RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega, unit_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,10 +126,10 @@ def _forest_core_frame(g: WeightedGraph, x: np.ndarray, phi: np.ndarray) -> np.n
     k = phi.shape[1]
     if k == 0:
         return q
-    jphi_omega = to_omega(x, j_x_columns(x, phi))
+    # unit chains before j_x divides by the weights, unit columns for the rank test
+    jphi_omega = unit_columns(to_omega(x, j_x_columns(x, unit_columns(phi))))
     u, r = np.linalg.qr(q.conj().T @ jphi_omega, mode="complete")
-    scale = np.linalg.norm(jphi_omega, axis=0).max()
-    if k > q.shape[1] or np.abs(np.diag(r)).min() <= RANK_RTOL * scale:
+    if k > q.shape[1] or np.abs(np.diag(r)).min() <= RANK_RTOL:
         raise DegenerateForms("chains must be independent from the cycle space")
     return q @ u[:, k:]
 
@@ -154,21 +153,6 @@ def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> Su
     return g.mask(sample(kernel, seed))
 
 
-def integral_cycle_basis_of(g: WeightedGraph, mask: SubgraphMask) -> np.ndarray:
-    """Integral cycle basis of a connected spanning subgraph.
-
-    Columns are fundamental cycles of a deterministic (min-index) spanning
-    tree of the subgraph, one per remaining edge in ascending order, so the
-    signs are reproducible.
-    """
-    if not mask.is_connected():
-        raise ValueError("cycle basis needs a connected spanning subgraph")
-    tree = min_index_spanning_tree(g, within=mask)
-    extra = [e for e in mask.indices if e not in tree.edge_set]
-    cols = [fundamental_cycle(g, tree, e) for e in extra]
-    return np.array(cols, dtype=int).T.reshape(g.num_edges, -1)
-
-
 def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> SubgraphWeight:
     """Weight x^K |det(theta_i(gamma_j))|^2 of a connected spanning subgraph.
 
@@ -180,8 +164,7 @@ def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> Sub
         raise ValueError("subgraph is not connected spanning")
     if mask.b1 != theta.shape[1]:
         raise ValueError(f"subgraph has b1={mask.b1}, expected {theta.shape[1]}")
-    cycles = integral_cycle_basis_of(g, mask)
-    pairing = theta.T @ cycles  # (theta_i, gamma_j), plain duality pairing
+    pairing = theta.T @ cycle_space_basis(g, within=mask)  # (theta_i, gamma_j)
     topo = float(np.abs(np.linalg.det(pairing)) ** 2) if pairing.shape[0] else 1.0
     mono = mask.weight_monomial()
     return SubgraphWeight(topo * mono, mono, topo)
@@ -210,35 +193,6 @@ def forest_weight(g: WeightedGraph, mask: SubgraphMask, phi: np.ndarray) -> Subg
     return SubgraphWeight(topo * mono, mono, topo)
 
 
-def _two_core_edges(g: WeightedGraph, edge_indices) -> set[int]:
-    """Edges of the 2-core of the subgraph, by iterative leaf pruning."""
-    alive = set(edge_indices)
-    degree = np.zeros(g.num_vertices, dtype=int)
-    incident: list[set[int]] = [set() for _ in range(g.num_vertices)]
-    for i in alive:
-        t, h = g.edges[i]
-        if t == h:
-            continue
-        degree[t] += 1
-        degree[h] += 1
-        incident[t].add(i)
-        incident[h].add(i)
-    leaves = [v for v in range(g.num_vertices) if degree[v] == 1]
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:
-            continue
-        i = next(iter(incident[v]))
-        t, h = g.edges[i]
-        alive.discard(i)
-        for u in (t, h):
-            degree[u] -= 1
-            incident[u].discard(i)
-            if degree[u] == 1:
-                leaves.append(u)
-    return alive
-
-
 def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) -> SubgraphWeight:
     """Weight x^S prod |1 - holonomy(cycle)|^2 of a cycle-rooted forest.
 
@@ -246,19 +200,16 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     independent cycles are rejected outright.
     """
     h = np.asarray(connection, dtype=complex)
-    labels = mask.labels
-    comp_b1 = _per_component_b1(g, mask.edge_set, labels)
+    comp_b1 = _per_component_b1(g, mask.edge_set, mask.labels)
     if any(b > 1 for b in comp_b1):
         raise ValueError("component with two or more independent cycles")
     mono = mask.weight_monomial()
     if any(b == 0 for b in comp_b1):
         return SubgraphWeight(0.0, mono, 0.0)
-    topo = 1.0
-    core = _two_core_edges(g, mask.edge_set)
-    for comp in range(mask.b0):
-        cycle_edges = [i for i in core if labels[g.edges[i][0]] == comp]
-        hol = _cycle_holonomy(g, cycle_edges, h)
-        topo *= float(np.abs(1.0 - hol) ** 2)
+    cycles = cycle_space_basis(g, within=mask)  # one per component
+    # holonomy prod h_e^gamma_e, with h^-1 = conj(h)
+    hol = np.where(cycles > 0, h[:, None], np.where(cycles < 0, h.conj()[:, None], 1)).prod(axis=0)
+    topo = float(np.prod(np.abs(1.0 - hol) ** 2))
     return SubgraphWeight(topo * mono, mono, topo)
 
 
@@ -270,36 +221,6 @@ def _per_component_b1(g: WeightedGraph, edges: Collection[int], labels) -> list[
     for i in edges:
         b1[labels[g.edges[i][0]]] += 1
     return b1
-
-
-def _cycle_holonomy(g: WeightedGraph, cycle_edges: list[int], h: np.ndarray) -> complex:
-    """Holonomy around a single simple cycle given by its edge set."""
-    if not cycle_edges:
-        return 1.0
-    loops = [i for i in cycle_edges if g.edges[i][0] == g.edges[i][1]]
-    if loops:
-        return complex(h[loops[0]])
-    nxt: dict[int, list[int]] = {}
-    for i in cycle_edges:
-        t, hd = g.edges[i]
-        nxt.setdefault(t, []).append(i)
-        nxt.setdefault(hd, []).append(i)
-    start = g.edges[cycle_edges[0]][0]
-    hol = 1.0 + 0.0j
-    v, used = start, set()
-    while True:
-        i = next(e for e in nxt[v] if e not in used)
-        used.add(i)
-        t, hd = g.edges[i]
-        if t == v:
-            hol *= h[i]
-            v = hd
-        else:
-            hol *= np.conj(h[i])
-            v = t
-        if v == start:
-            break
-    return complex(hol)
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:

@@ -47,12 +47,17 @@ def _inverse(x: np.ndarray) -> np.ndarray:
     return 1.0 / x
 
 
-def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
-    """Some chain whose boundary is q (q must sum to zero)."""
+def _balanced(q: np.ndarray) -> np.ndarray:
+    """A vertex charge as a complex vector; ValueError unless it sums to zero."""
     q = np.asarray(q, dtype=complex)
     if abs(q.sum()) > 1e-9 * max(1.0, np.abs(q).max()):
         raise ValueError("vertex charge must sum to zero")
-    sol, *_ = np.linalg.lstsq(g.boundary.astype(complex), q, rcond=None)
+    return q
+
+
+def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
+    """Some chain whose boundary is q (q must sum to zero)."""
+    sol, *_ = np.linalg.lstsq(g.boundary.astype(complex), _balanced(q), rcond=None)
     return sol
 
 
@@ -157,12 +162,9 @@ def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> floa
     pairing does not depend on the pin because q is balanced.
     """
     x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=complex)
-    if abs(q.sum()) > 1e-9 * max(1.0, np.abs(q).max()):
-        raise ValueError("vertex charge must sum to zero")
-    y = 1.0 / x
+    q = _balanced(q)
     d = g.boundary.astype(float)
-    lap = (d * y) @ d.T
+    lap = (d * _inverse(x)) @ d.T
     u = np.zeros(g.num_vertices, dtype=complex)
     u[1:] = np.linalg.solve(lap[1:, 1:], q[1:])
     return float((np.conj(q) @ u).real)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .errors import MalformedInput
 from .graph import WeightedGraph
-from .measures import _two_core_edges
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,28 @@ def circle_positions(n: int, style: RenderStyle) -> list[tuple[float, float]]:
     return [(cx + r * math.cos(2 * math.pi * i / n - math.pi / 2),
              cy + r * math.sin(2 * math.pi * i / n - math.pi / 2))
             for i in range(n)]
+
+
+def _two_core_edges(g: WeightedGraph, edge_indices) -> set[int]:
+    """Edges of the 2-core of the subgraph, by iterative leaf pruning; loops stay."""
+    alive = set(edge_indices)
+    incident: list[set[int]] = [set() for _ in range(g.num_vertices)]
+    for i in alive:
+        t, h = g.edges[i]
+        if t != h:
+            incident[t].add(i)
+            incident[h].add(i)
+    leaves = [v for v in range(g.num_vertices) if len(incident[v]) == 1]
+    while leaves:
+        v = leaves.pop()
+        if len(incident[v]) == 1:
+            i = incident[v].pop()
+            alive.discard(i)
+            for u in g.edges[i]:
+                incident[u].discard(i)
+                if len(incident[u]) == 1:
+                    leaves.append(u)
+    return alive
 
 
 def thick_edges(g: WeightedGraph, sample_edges, style: RenderStyle) -> set[int]:

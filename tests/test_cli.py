@@ -74,6 +74,19 @@ class TestSample:
                    "-o", str(out)) == 0
         assert json.loads(out.read_text())["rank"] == 9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("measure", ["connected", "forest", "mixed"])
+    def test_forms_near_the_float_maximum(self, measure, tmp_path):
+        # one entry of 1e300 scales a column, not its span
+        graph, forms, out = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "s.json"
+        graph.write_text(dg.grid_graph(2, 2).to_json())
+        column = [[1e300, 0.0], [1.0, 0.0], [0.5, 0.0], [2.0, 0.0]]
+        forms.write_text(json.dumps({"theta": [column], "phi": [column]}))
+        assert run("sample", "--graph", str(graph), "--measure", measure,
+                   "--forms", str(forms), "-o", str(out)) == 0
+        assert json.loads(out.read_text())["rank"] == {"connected": 4, "forest": 2,
+                                                       "mixed": 3}[measure]
+
     def test_degenerate_forms_exit_code(self, grid_file, tmp_path):
         # requesting more independent cycles than the graph has
         code = run("sample", "--graph", str(grid_file), "--measure",

@@ -17,10 +17,8 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=250)
 EXIT_CODES = {0, 2, 3}
 
 small = st.integers(-1, 6)
-# finite floats stay small: entries near the float maximum overflow the frame
-# norms and are refused as degenerate forms, a known limitation
 number = small | st.floats(-6.0, 6.0) | st.sampled_from(
-    [0.0, -0.0, 1e-300, float("nan"), float("inf")])
+    [0.0, -0.0, 1e-300, 1e300, -1e300, float("nan"), float("inf")])
 leaf = st.none() | st.booleans() | number | st.text(max_size=3)
 json_value = st.recursive(
     leaf,
@@ -86,6 +84,7 @@ def test_sample_graph_file(files, doc, measure):
          "--k", "1", "--l", "1")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @FUZZ
 @given(doc=forms_doc, measure=st.sampled_from(["connected", "crsf", "mixed"]))
 def test_sample_forms_file(files, doc, measure):

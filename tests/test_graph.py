@@ -147,6 +147,34 @@ class TestIntegralBases:
         assert np.allclose(g.coboundary @ sol, basis, atol=1e-10)
 
 
+    def test_cycle_basis_within_a_mask_per_edge(self):
+        # one column per mask edge outside the mask's min-index forest, in
+        # ascending order: 1 on its own edge and 0 on the others, support in
+        # the mask, boundary zero; masks with several components included
+        rng = np.random.default_rng(17)
+        components = set()
+        for m in (5, 7, 8, 9):
+            base = random_connected_graph(rng, m)
+            t, h = base.edges[-1]
+            g = dg.WeightedGraph(base.num_vertices, [*base.edges, (1, 1), (h, t), (t, h)])
+            masks = [*oracle.enumerate_family(g, "crsf"),
+                     *oracle.enumerate_family(g, "connected", k=2), g.full_mask()]
+            for mask in masks:
+                components.add(mask.b0)
+                basis = dg.cycle_space_basis(g, within=mask)
+                forest = dg.min_index_spanning_tree(g, within=mask).edge_set
+                own = [e for e in mask.indices if e not in forest]
+                assert basis.shape == (g.num_edges, mask.b1) == (g.num_edges, len(own))
+                assert basis[own].tolist() == np.eye(len(own), dtype=int).tolist()
+                assert not basis[[e for e in range(g.num_edges) if e not in mask]].any()
+                assert not (g.boundary @ basis).any()
+        assert max(components) >= 2
+
+    def test_cycle_basis_takes_no_tree(self, triangle):
+        with pytest.raises(TypeError):
+            dg.cycle_space_basis(triangle, triangle.mask([0, 1]))
+
+
 class TestEnumeration:
     def test_triangle_has_three_trees(self, triangle):
         trees = oracle.enumerate_family(triangle, "ust")

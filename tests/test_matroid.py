@@ -5,7 +5,7 @@ import pytest
 
 import detgraph as dg
 from detgraph import dpp, matroid as mm, oracle
-from detgraph.errors import ImpossibleCondition, RankDeficient
+from detgraph.errors import EnumerationCapExceeded, ImpossibleCondition, RankDeficient
 
 from conftest import random_connected_graph
 
@@ -45,6 +45,16 @@ class TestConstruction:
         back = mm.matroid_from_json(mm.matroid_to_json(m))
         assert np.allclose(back.matrix, m.matrix)
         assert np.allclose(back.weights, m.weights)
+
+
+    def test_basis_scans_keep_the_enumeration_cap(self, monkeypatch):
+        # the k-extension scan is the bases scan at k = 0 and shares its cap
+        monkeypatch.setenv("DETGRAPH_ENUM_CAP", "5")
+        m = _random_matroid(6, target=3, ground=6)
+        with pytest.raises(EnumerationCapExceeded):
+            m.bases_of_rank_k_extension(1)
+        with pytest.raises(EnumerationCapExceeded):
+            m.bases
 
 
 class TestFundamentalCircuits:

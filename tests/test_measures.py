@@ -477,6 +477,23 @@ def test_forest_measure_at_wide_weight_spreads(spread, seed):
     assert oracle.compare_measure(g, spec).passed
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("spread, tol", [(0, 1e-12), (12, 1e-10)])
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e300])
+@pytest.mark.parametrize("variant", ["connected", "forest", "mixed"])
+def test_kernel_depends_only_on_the_span_of_the_forms(variant, scale, spread, tol):
+    # forms and chains are refused by their span, never by their scale; at
+    # weights down to 1e-12, j_x must not overflow on chain entries of 1e300
+    base = dg.grid_graph(3, 3)
+    x = 10.0 ** np.random.default_rng(9).uniform(-spread, spread, base.num_edges)
+    g = dg.WeightedGraph(base.num_vertices, base.edges, x)
+    spec = measures.random_spec(g, variant, 2, 2, seed=4)
+    scaled = measures.random_spec(g, variant, 2, 2, seed=4, forms={
+        key: scale * getattr(spec, key) for key in measures.VARIANT_TABLE[variant].forms})
+    kernel, scaled_kernel = dg.build_kernel(g, spec), dg.build_kernel(g, scaled)
+    assert np.abs(scaled_kernel.matrix - kernel.matrix).max() < tol
+
+
 @pytest.fixture(scope="module")
 def weighted_grid_4x4():
     base = dg.grid_graph(4, 4)

@@ -93,10 +93,10 @@ class TestCompareMeasure:
         assert victim in rep.support_mismatches
 
     # union-find passes on the 9-edge graph of test_distribution.py: one per
-    # scanned subset of the sample size, plus, for connected only, at most one
-    # per member for the min-index tree of its cycle basis (65 members)
+    # scanned subset of the sample size; the cycle bases of the weights take
+    # their forests straight from the union-find and build no mask
     @pytest.mark.parametrize("variant, subsets, at_most", [
-        ("ust", 126, 126), ("forest", 126, 126), ("crsf", 84, 84), ("connected", 84, 84 + 65)])
+        ("ust", 126, 126), ("forest", 126, 126), ("crsf", 84, 84), ("connected", 84, 84)])
     def test_each_topology_computed_once(self, variant, subsets, at_most, monkeypatch):
         weights = np.random.default_rng(3).uniform(0.5, 2.0, 9)
         g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)], weights)

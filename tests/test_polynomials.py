@@ -3,6 +3,7 @@ import pytest
 
 import detgraph as dg
 from detgraph import measures, oracle, polynomials
+from detgraph.errors import NumericDegeneracy
 
 from conftest import random_connected_graph
 
@@ -169,6 +170,13 @@ class TestGreenPairing:
             lhs = dg.symanzik_psi2(g, x, q).real / dg.symanzik_psi1(g, x).real
             rhs = dg.green_height_pairing(g, x, q)
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_weight_refused(self):
+        g = dg.grid_graph(2, 2)
+        with pytest.raises(NumericDegeneracy):
+            dg.green_height_pairing(g, np.array([0.0, 1.0, 1.0, 1.0]),
+                                    np.array([1.0, -1.0, 0.0, 0.0]))
 
     def test_pin_independence(self, square_with_chord):
         # solving with a different pinned vertex gives the same pairing
