@@ -31,6 +31,18 @@ def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.asarray(forms, dtype=complex) * np.sqrt(np.asarray(x))[:, None]
 
 
+def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of the omega-scaled columns of `basis`, which must be independent.
+
+    Householder QR with the rows sorted by decreasing weight, which keeps it
+    accurate over wide weight spreads; no rank is decided.
+    """
+    order = np.argsort(-np.asarray(x), kind="stable")
+    q = np.empty(np.shape(basis), dtype=complex)
+    q[order] = np.linalg.qr(to_omega(x, basis)[order])[0]
+    return q
+
+
 def orthonormalize(columns: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the column span (standard inner product).
 

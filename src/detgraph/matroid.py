@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .dpp import ProjectionKernel
-from .errors import DegenerateForms, ImpossibleCondition, RankDeficient
+from .errors import DegenerateForms, ImpossibleCondition, MalformedInput, RankDeficient
 from .graph import check_enumeration_cap
-from .linalg import gram_det, orthonormalize
+from .linalg import RANK_RTOL, extend_frame, gram_det, to_omega, weighted_frame
 
-SVD_RTOL = 1e-10
 CONDITION_WARN = 1e-8
 
 
@@ -35,30 +35,26 @@ class LinearMatroid:
     matrix: np.ndarray          # target_dim x ground_size
     weights: np.ndarray         # positive, per ground element
     kernel_basis: np.ndarray    # ground_size x corank, columns span ker(matrix)
+    image: np.ndarray           # ground_size x rank, R^T on an orthonormal coimage basis
     rank: int
 
     def __init__(self, matrix: np.ndarray, weights: np.ndarray | None = None):
         m = np.asarray(matrix, dtype=complex).copy()
-        if m.ndim != 2:
-            raise ValueError("representing matrix must be 2-dimensional")
+        if m.ndim != 2 or not np.all(np.isfinite(m)):
+            raise ValueError("representing matrix must be 2-dimensional and finite")
         d = m.shape[1]
         w = np.ones(d) if weights is None else np.asarray(weights, dtype=float).copy()
-        if w.shape != (d,) or np.any(w <= 0):
-            raise ValueError("need one positive weight per ground element")
-        u, s, vh = np.linalg.svd(m) if min(m.shape) else (None, np.zeros(0), None)
-        smax = s.max(initial=0.0)
-        rank = int(np.sum(s > SVD_RTOL * smax)) if smax > 0 else 0
-        if m.size and smax > 0:
-            z = vh[rank:, :].conj().T
-        else:
-            z = np.eye(d, dtype=complex)
-        m.setflags(write=False)
-        w.setflags(write=False)
-        z.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "kernel_basis", z)
-        object.__setattr__(self, "rank", rank)
+        if w.shape != (d,) or not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("need one finite positive weight per ground element")
+        # the one SVD of R; numpy 1.24 has none for an empty matrix
+        _, s, vh = np.linalg.svd(m) if min(m.shape) else (None, np.zeros(0), np.zeros((0, d)))
+        rank = _rank_of(s)
+        z = vh[rank:, :].conj().T if rank else np.eye(d, dtype=complex)
+        image = vh[:rank, :].T * s[:rank]
+        for a in (m, w, z, image):
+            a.setflags(write=False)
+        self.__dict__.update(matrix=m, weights=w, kernel_basis=z, image=image,
+                             rank=rank)  # frozen: bypass setattr
 
     @property
     def ground_size(self) -> int:
@@ -74,31 +70,26 @@ class LinearMatroid:
 
     def is_independent(self, subset) -> bool:
         subset = sorted(subset)
-        return _numeric_rank(self.matrix[:, subset]) == len(subset)
+        return _rank_of(_singular_values(self.matrix[:, subset])) == len(subset)
 
     @cached_property
     def bases(self) -> tuple[tuple[int, ...], ...]:
-        out = tuple(self.bases_of_rank_k_extension(0))
-        self._warn_conditioning(out)
-        return out
-
-    def _warn_conditioning(self, bases) -> None:
-        import warnings
-        for t in bases:
-            cols = self.matrix[:, list(t)]
-            if not cols.size:
-                continue
-            s = np.linalg.svd(cols, compute_uv=False)
-            if s.min() < CONDITION_WARN * s.max():
-                warnings.warn(
-                    f"basis {t} is numerically ill conditioned", RuntimeWarning)
-                break
+        scan = self._spanning_subsets(0)
+        ill = next((t for t, s in scan if s.size and s[-1] < CONDITION_WARN * s[0]), None)
+        if ill is not None:
+            warnings.warn(f"basis {ill} is numerically ill conditioned", RuntimeWarning)
+        return tuple(t for t, _ in scan)
 
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
+        return [t for t, _ in self._spanning_subsets(k)]
+
+    def _spanning_subsets(self, k: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
+        """Each (rank+k)-subset whose columns span the image, with their singular values."""
         check_enumeration_cap(self.ground_size, what="elements")
-        return [subset for subset in itertools.combinations(range(self.ground_size), self.rank + k)
-                if _numeric_rank(self.matrix[:, list(subset)]) == self.rank]
+        scan = ((t, _singular_values(self.matrix[:, list(t)]))
+                for t in itertools.combinations(range(self.ground_size), self.rank + k))
+        return [(t, s) for t, s in scan if _rank_of(s) == self.rank]
 
     def fundamental_circuit_vector(self, basis: tuple[int, ...], j: int) -> np.ndarray:
         """Kernel vector with coefficient 1 on j and support inside basis + {j}."""
@@ -124,10 +115,14 @@ class LinearMatroid:
         return np.column_stack([self.fundamental_circuit_vector(basis, j) for j in rest])
 
 
-def _numeric_rank(cols: np.ndarray) -> int:
-    """Singular values above SVD_RTOL times the largest one."""
-    s = np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
-    return int(np.sum(s > SVD_RTOL * s.max(initial=0.0))) if s.any() else 0
+def _singular_values(cols: np.ndarray) -> np.ndarray:
+    # numpy 1.24 has no SVD of an empty matrix
+    return np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
+
+
+def _rank_of(s: np.ndarray) -> int:
+    """Singular values above RANK_RTOL times the largest one."""
+    return int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
 
 
 def from_matrix(matrix: np.ndarray, weights: np.ndarray | None = None) -> LinearMatroid:
@@ -152,16 +147,17 @@ def change_of_basis_det(m: LinearMatroid, z_columns: np.ndarray,
     return complex(np.linalg.det(coeffs))
 
 
-def minor_on_complement(z_columns: np.ndarray, basis: tuple[int, ...],
-                        ground_size: int) -> complex:
-    """Minor of the kernel family on the rows outside `basis` (ascending)."""
-    rows = [i for i in range(ground_size) if i not in set(basis)]
-    z = np.asarray(z_columns, dtype=complex)
+def minor_on_complement(z: np.ndarray, basis, within) -> complex:
+    """Minor of the kernel family z on the rows of `within` outside `basis`.
+
+    `within` lists rows in ascending order: range(ground_size) for the whole
+    ground set, or a conditioning set.  The minor on no rows is 1.
+    """
+    inside = set(basis)
+    rows = [i for i in within if i not in inside]
     if len(rows) != z.shape[1]:
         raise ValueError("complement size must equal the family size")
-    if not rows:
-        return 1.0 + 0j
-    return complex(np.linalg.det(z[rows, :]))
+    return complex(np.linalg.det(z[rows, :])) if rows else 1.0 + 0j
 
 
 def basis_weight(m: LinearMatroid, subset) -> float:
@@ -185,19 +181,23 @@ def density_via_circuits(m: LinearMatroid, basis) -> float:
     basis = tuple(sorted(basis))
     if not m.is_basis(basis):
         raise RankDeficient(f"{basis} is not a basis")
-    det = minor_on_complement(m.kernel_basis, basis, m.ground_size)
-    mono = float(np.prod(m.weights[list(basis)])) if basis else 1.0
-    return float(abs(det) ** 2) * mono
+    return circuit_density(m, basis)
+
+
+def circuit_density(m: LinearMatroid, basis, z: np.ndarray | None = None) -> float:
+    """|det(z/Z_T)|^2 x^T for a basis T that is not checked; z defaults to Z."""
+    z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
+    det = minor_on_complement(z, basis, range(m.ground_size))
+    return float(abs(det) ** 2) * float(np.prod(m.weights[list(basis)]))
 
 
 def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
-    """Projection kernel (omega basis) of the determinantal basis measure."""
-    cols = m.matrix.T.copy()  # image of the transposed map, e* coordinates
-    omega = cols * np.sqrt(m.weights)[:, None]
-    q = orthonormalize(omega)
-    if q.shape[1] != m.rank:
-        raise RankDeficient(f"image frame has rank {q.shape[1]}, expected {m.rank}")
-    return ProjectionKernel.from_frame(q)
+    """Projection kernel (omega basis) of the determinantal basis measure.
+
+    Its range is the image of the transposed map, whose stored basis has
+    rank independent columns whatever the weights, so no rank is decided.
+    """
+    return ProjectionKernel.from_frame(weighted_frame(m.weights, m.image))
 
 
 def restricted_kernel_basis(m: LinearMatroid, k_set: tuple[int, ...]) -> np.ndarray:
@@ -218,13 +218,18 @@ def conditional_density(m: LinearMatroid, k_set, subset) -> float:
     subset = tuple(sorted(subset))
     if not set(subset) <= set(k_set):
         raise ValueError("subset must lie inside the conditioning set")
-    zk = restricted_kernel_basis(m, k_set)
-    rows = [i for i in k_set if i not in set(subset)]
-    if len(rows) != zk.shape[1]:
-        raise ValueError("subset size must equal the matroid rank")
-    det = np.linalg.det(zk[rows, :]) if rows else 1.0 + 0j
-    mono = float(np.prod(m.weights[list(subset)])) if subset else 1.0
-    return float(abs(det) ** 2) * mono
+    det = minor_on_complement(restricted_kernel_basis(m, k_set), subset, k_set)
+    return float(abs(det) ** 2) * float(np.prod(m.weights[list(subset)]))
+
+
+def _basis_ratio(m: LinearMatroid, z: np.ndarray, zk: np.ndarray, k_set) -> float:
+    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set."""
+    inside = set(k_set)
+    basis = next((t for t in m.bases if inside.issuperset(t)), None)
+    if basis is None:
+        raise ImpossibleCondition("conditioning set contains no basis")
+    return float(abs(minor_on_complement(z, basis, range(m.ground_size))) ** 2
+                 / abs(minor_on_complement(zk, basis, k_set)) ** 2)
 
 
 def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
@@ -237,14 +242,7 @@ def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
     """
     k_set = tuple(sorted(k_set))
     zk = restricted_kernel_basis(m, k_set)
-    some_basis = next((t for t in m.bases if set(t) <= set(k_set)), None)
-    if some_basis is None:
-        raise ImpossibleCondition("conditioning set contains no basis")
-
-    det_full = minor_on_complement(m.kernel_basis, some_basis, m.ground_size)
-    rows = [i for i in k_set if i not in set(some_basis)]
-    det_restricted = np.linalg.det(zk[rows, :]) if rows else 1.0 + 0j
-    via_basis = float(abs(det_full) ** 2 / abs(det_restricted) ** 2)
+    via_basis = _basis_ratio(m, m.kernel_basis, zk, k_set)
 
     # coefficient route: restrict the full wedge to directions containing the
     # complement of k_set, against the norm of the restricted wedge
@@ -264,10 +262,19 @@ def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
     return via_basis, via_wedge
 
 
-def _image_frame(m: LinearMatroid) -> np.ndarray:
-    """Images under the transposed map of an orthonormal basis of its coimage."""
-    coimage = orthonormalize(np.conj(m.matrix))
-    return m.matrix.T @ coimage
+def extension_weight(m: LinearMatroid, theta: np.ndarray, k_set,
+                     z: np.ndarray | None = None) -> float:
+    """Weight x^K r(z : z_K) |det(theta^T z_K)|^2 of an admissible (rank+k)-set K.
+
+    theta holds the k forms as columns, z_K spans the kernel restricted to K,
+    and r is the ratio of ratio_constant for the kernel family z (default Z).
+    """
+    z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
+    k_set = tuple(sorted(k_set))
+    zk = restricted_kernel_basis(m, k_set)
+    topo = float(abs(np.linalg.det(theta.T @ zk)) ** 2) if theta.shape[1] else 1.0
+    mono = float(np.prod(m.weights[list(k_set)]))
+    return mono * _basis_ratio(m, z, zk, k_set) * topo
 
 
 def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
@@ -281,29 +288,20 @@ def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
        forms theta, via the bordered determinant.
     """
     x = m.weights if x is None else np.asarray(x, dtype=float)
-    img = _image_frame(m)
-    b_val = gram_det(x, img)
+    b_val = gram_det(x, m.image)
     k_raw = float(np.prod(x)) * gram_det(x, np.conj(m.kernel_basis) / x[:, None])
 
     out = {"B": b_val, "K": k_raw, "normalization": scale_to_match_B(m)}
     if theta is not None:
         theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-        if theta.shape[1]:
-            l_val = gram_det(x, np.hstack([img, theta]))
-        else:
-            l_val = b_val
-        out["L"] = l_val
+        out["L"] = gram_det(x, np.hstack([m.image, theta]))
     return out
 
 
 def scale_to_match_B(m: LinearMatroid) -> float:
     """Scalar s so that s^2 K(Z, .) agrees with B; applied to one kernel column."""
-    ones = np.ones(m.ground_size)
-    b1 = gram_det(ones, _image_frame(m))
-    k1 = gram_det(ones, np.conj(m.kernel_basis))
-    if k1 <= 0:
-        raise RankDeficient("kernel basis is degenerate")
-    return float(np.sqrt(b1 / k1))
+    # Z is orthonormal, so K(Z, .) is 1 at unit weights and s^2 is B there
+    return float(np.sqrt(gram_det(np.ones(m.ground_size), m.image)))
 
 
 def normalized_kernel_basis(m: LinearMatroid) -> np.ndarray:
@@ -318,28 +316,15 @@ def theorem_measure(m: LinearMatroid, theta: np.ndarray):
     """Kernel and weight evaluator of the k-extension determinantal measure.
 
     The kernel projects onto the image of the transposed map extended by the
-    span of the forms; the weight of an admissible (rank+k)-set K is
-    x^K r(Z : Z^K) |(theta_1 ^ ... ^ theta_k, z_K)|^2, and normalized
+    span of the forms, built as the connected graph measure's is; the weight
+    of an admissible (rank+k)-set K is extension_weight, and normalized
     weights match the kernel densities.
     """
     theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-    k = theta.shape[1]
-    omega = np.hstack([m.matrix.T, theta]) * np.sqrt(m.weights)[:, None]
-    q = orthonormalize(omega)
-    if q.shape[1] != m.rank + k:
+    frame = extend_frame(weighted_frame(m.weights, m.image), to_omega(m.weights, theta))
+    if frame.shape[1] != m.rank + theta.shape[1]:
         raise DegenerateForms("forms overlap the kernel of the adjoint")
-    kernel = ProjectionKernel.from_frame(q)
-
-    def weight(k_set) -> float:
-        k_set = tuple(sorted(k_set))
-        zk = restricted_kernel_basis(m, k_set)
-        pairing = theta.T @ zk
-        topo = float(abs(np.linalg.det(pairing)) ** 2) if k else 1.0
-        r, _ = ratio_constant(m, k_set)
-        mono = float(np.prod(m.weights[list(k_set)])) if k_set else 1.0
-        return mono * r * topo
-
-    return kernel, weight
+    return ProjectionKernel.from_frame(frame), partial(extension_weight, m, theta)
 
 
 @dataclass(frozen=True)
@@ -390,7 +375,14 @@ def matroid_to_json(m: LinearMatroid) -> str:
 
 def matroid_from_json(text: str) -> LinearMatroid:
     payload = json.loads(text)
-    pairs = np.asarray(payload["R"], dtype=float)
-    mat = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(
-        payload["target_dim"], payload["ground_size"])
-    return LinearMatroid(mat, np.asarray(payload["weights"], dtype=float))
+    try:
+        pairs = np.asarray(payload["R"], dtype=float)
+        shape = (payload["target_dim"], payload["ground_size"])
+        weights = np.asarray(payload["weights"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedInput("matroid JSON needs ground_size, target_dim, R and weights: "
+                             f"{exc!r}") from exc
+    if not all(type(v) is int and v > 0 for v in shape) or pairs.shape != (shape[0] * shape[1], 2):
+        raise MalformedInput("matroid JSON needs target_dim x ground_size [re, im] pairs "
+                             f"in R, got shape {pairs.shape}")
+    return LinearMatroid((pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape), weights)

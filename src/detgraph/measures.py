@@ -34,7 +34,8 @@ from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
 from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
-from .linalg import RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega, unit_columns
+from .linalg import (RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega,
+                     unit_columns, weighted_frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +88,9 @@ class SubgraphWeight:
 
 
 def _frame_exact_forms(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
-    """QR frame of the differentials of all vertices but the first, omega coords.
-
-    Independent as the graph is connected, so no rank is decided; rows sorted by
-    decreasing weight keep Householder QR accurate over wide weight spreads.
-    """
-    order = np.argsort(-np.asarray(x), kind="stable")
-    q = np.empty((g.num_edges, g.num_vertices - 1), dtype=complex)
-    q[order] = np.linalg.qr(to_omega(x, g.coboundary[:, 1:].astype(complex))[order])[0]
-    return q
+    """Frame of the differentials of all vertices but the first, omega coords;
+    independent as the graph is connected."""
+    return weighted_frame(x, g.coboundary[:, 1:])
 
 
 def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray:

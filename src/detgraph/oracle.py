@@ -161,14 +161,11 @@ def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSp
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,
                        z_columns: np.ndarray | None = None) -> dict[str, float]:
     """Defining sums of the matroid partition functions B and K."""
-    z = m.kernel_basis if z_columns is None else np.asarray(z_columns, dtype=complex)
     b_total = 0.0
     k_total = 0.0
     for t in m.bases:
         b_total += matroid_mod.basis_weight(m, t)
-        det = matroid_mod.minor_on_complement(z, t, m.ground_size)
-        mono = float(np.prod(m.weights[list(t)])) if t else 1.0
-        k_total += float(abs(det) ** 2) * mono
+        k_total += matroid_mod.circuit_density(m, t, z_columns)
     return {"B": b_total, "K": k_total}
 
 
@@ -176,21 +173,8 @@ def matroid_L_sum(m: matroid_mod.LinearMatroid, theta: np.ndarray,
                   z_columns: np.ndarray | None = None) -> float:
     """Defining sum of the k-extension polynomial over admissible supersets."""
     theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-    k = theta.shape[1]
-    z = m.kernel_basis if z_columns is None else np.asarray(z_columns, dtype=complex)
-    total = 0.0
-    for k_set in m.bases_of_rank_k_extension(k):
-        zk = matroid_mod.restricted_kernel_basis(m, k_set)
-        pairing = theta.T @ zk
-        topo = float(abs(np.linalg.det(pairing)) ** 2) if k else 1.0
-        some_basis = next(t for t in m.bases if set(t) <= set(k_set))
-        det_full = matroid_mod.minor_on_complement(z, some_basis, m.ground_size)
-        rows = [i for i in k_set if i not in set(some_basis)]
-        det_res = np.linalg.det(zk[rows, :]) if rows else 1.0 + 0j
-        ratio = float(abs(det_full) ** 2 / abs(det_res) ** 2)
-        mono = float(np.prod(m.weights[list(k_set)]))
-        total += mono * ratio * topo
-    return total
+    return sum(matroid_mod.extension_weight(m, theta, k_set, z_columns)
+               for k_set in m.bases_of_rank_k_extension(theta.shape[1]))
 
 
 @dataclass(frozen=True)

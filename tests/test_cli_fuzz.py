@@ -2,6 +2,8 @@
 
 Inputs mix well-formed documents, documents with wrong leaves and arbitrary
 JSON.  Integers stay within [-1, 6], so no input allocates a large graph.
+Forms files are also drawn well formed, with finite entries from 1e-300 to
+1e300, so that every extreme entry reaches the frame of a measure that reads it.
 """
 
 import json
@@ -52,6 +54,11 @@ sample_doc = mostly(st.lists(edge_index, max_size=6) | st.fixed_dictionaries(
 
 pair = mostly(st.lists(mostly(number), min_size=2, max_size=2))
 form = mostly(st.lists(pair, min_size=4, max_size=4), st.lists(pair, max_size=6), 10)
+# right-shaped forms with finite entries, extremes included: none is refused as malformed
+extreme = st.sampled_from([0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-6.0, 6.0)
+column = st.lists(st.lists(extreme, min_size=2, max_size=2), min_size=4, max_size=4)
+columns = st.lists(column, min_size=1, max_size=2)
+well_formed_forms = st.fixed_dictionaries({"theta": columns, "phi": columns})
 forms_doc = mostly(st.fixed_dictionaries(
     {}, optional={"theta": mostly(st.lists(form, max_size=2)),
                   "phi": mostly(st.lists(form, max_size=2)),
@@ -88,5 +95,13 @@ def test_sample_graph_file(files, doc, measure):
 @FUZZ
 @given(doc=forms_doc, measure=st.sampled_from(["connected", "crsf", "mixed"]))
 def test_sample_forms_file(files, doc, measure):
+    _run(files, doc, "sample", "--graph", str(files["grid"]), "--measure", measure,
+         "--forms", str(files["input"]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@FUZZ
+@given(doc=well_formed_forms, measure=st.sampled_from(["connected", "forest", "mixed"]))
+def test_sample_well_formed_extreme_forms(files, doc, measure):
     _run(files, doc, "sample", "--graph", str(files["grid"]), "--measure", measure,
          "--forms", str(files["input"]))

@@ -5,9 +5,18 @@ import pytest
 
 import detgraph as dg
 from detgraph import dpp, matroid as mm, oracle
-from detgraph.errors import EnumerationCapExceeded, ImpossibleCondition, RankDeficient
+from detgraph.errors import (EnumerationCapExceeded, ImpossibleCondition, MalformedInput,
+                             RankDeficient)
 
 from conftest import random_connected_graph
+
+
+def _wide_weight_grids():
+    """3x3 grids with weights 10**uniform(-12, 12), seeds 0-9."""
+    g = dg.grid_graph(3, 3)
+    for seed in range(10):
+        x = 10 ** np.random.default_rng(seed).uniform(-12, 12, g.num_edges)
+        yield seed, dg.WeightedGraph(g.num_vertices, g.edges, x)
 
 
 def _random_matroid(seed, target=4, ground=7, complex_entries=True):
@@ -46,6 +55,29 @@ class TestConstruction:
         assert np.allclose(back.matrix, m.matrix)
         assert np.allclose(back.weights, m.weights)
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mm.LinearMatroid(np.eye(2), np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
+    def test_non_finite_entries_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mm.LinearMatroid(np.array([[1.0, bad], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[1]", "null", '"R"',
+        '{"ground_size": 2, "target_dim": 1, "R": [[1, 0]], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": 1, "R": [[1, 0, 0], [1, 0, 0]], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": true, "R": [[1, 0], [1, 0]], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": 1, "R": [[1, "a"], [1, 0]], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": 1, "R": [[1, 0], [1, 0]]}',
+    ], ids=["empty", "list", "null", "string", "short-R", "triples", "bool-dim",
+            "text-entry", "no-weights"])
+    def test_malformed_json_refused(self, text):
+        with pytest.raises(MalformedInput):
+            mm.matroid_from_json(text)
 
     def test_basis_scans_keep_the_enumeration_cap(self, monkeypatch):
         # the k-extension scan is the bases scan at k = 0 and shares its cap
@@ -154,13 +186,14 @@ class TestDensities:
         m = mm.from_matrix(np.eye(4), np.full(4, 2.0))
         assert np.allclose(mm.matroid_kernel(m).matrix, np.eye(4))
 
-    def test_kernel_rank_below_matroid_rank_is_refused(self):
-        # rank 2 by the SVD of R, but a light weight pushes the second
-        # omega-scaled image below the frame's rank threshold
+    def test_light_weight_keeps_the_matroid_rank(self):
+        # rank 2 by the SVD of R; the weights cannot change the rank of the
+        # image, so the kernel of the sole basis {0, 1} is the identity
         m = mm.LinearMatroid(np.diag([1.0, 2e-10]), np.array([1.0, 0.01]))
         assert m.rank == 2
-        with pytest.raises(RankDeficient, match="rank 1, expected 2"):
-            mm.matroid_kernel(m)
+        with pytest.warns(RuntimeWarning, match="ill conditioned"):
+            assert m.bases == ((0, 1),)
+        assert np.abs(mm.matroid_kernel(m).matrix - np.eye(2)).max() < 1e-15
 
 
 class TestConditioning:
@@ -200,7 +233,7 @@ class TestRatioConstant:
         m = _random_matroid(13)
         t0 = m.bases[0]
         r1, r2 = mm.ratio_constant(m, t0)
-        det = mm.minor_on_complement(m.kernel_basis, t0, m.ground_size)
+        det = mm.minor_on_complement(m.kernel_basis, t0, range(m.ground_size))
         assert r1 == pytest.approx(abs(det) ** 2, rel=1e-9)
         assert r2 == pytest.approx(r1, rel=1e-9)
 
@@ -212,7 +245,7 @@ class TestRatioConstant:
         for t in m.bases:
             if not set(t) <= set(k_set):
                 continue
-            det_full = mm.minor_on_complement(m.kernel_basis, t, m.ground_size)
+            det_full = mm.minor_on_complement(m.kernel_basis, t, range(m.ground_size))
             rows = [i for i in k_set if i not in set(t)]
             det_res = np.linalg.det(zk[rows, :])
             values.append(abs(det_full) ** 2 / abs(det_res) ** 2)
@@ -280,6 +313,22 @@ class TestTheoremMeasure:
         tk, _ = mm.theorem_measure(m, theta)
         ck = dg.build_kernel(g, dg.MeasureSpec.connected_k(theta))
         assert np.abs(tk.matrix - ck.matrix).max() < 1e-12
+        for seed, g in _wide_weight_grids():
+            theta = measures.random_theta(g, 1, seed)
+            m = mm.from_matrix(g.boundary.astype(float), g.weights)
+            tk, _ = mm.theorem_measure(m, theta)
+            ck = dg.build_kernel(g, dg.MeasureSpec.connected_k(theta))
+            assert np.abs(tk.matrix - ck.matrix).max() < 1e-9, seed
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1e12, 1e300])
+    def test_kernel_depends_only_on_the_span_of_the_forms(self, scale):
+        m = _random_matroid(44)
+        rng = np.random.default_rng(45)
+        theta = rng.standard_normal((m.ground_size, 2)) \
+            + 1j * rng.standard_normal((m.ground_size, 2))
+        tk, _ = mm.theorem_measure(m, theta)
+        scaled, _ = mm.theorem_measure(m, theta * scale)
+        assert np.abs(scaled.matrix - tk.matrix).max() < 1e-12
 
     def test_full_corank_point_mass(self):
         m = _random_matroid(25)
@@ -389,6 +438,11 @@ class TestGraphSpecialization:
         k1 = mm.matroid_kernel(m).matrix
         k2 = dg.build_kernel(g, dg.MeasureSpec.ust()).matrix
         assert np.abs(k1 - k2).max() < 1e-12
+        for seed, g in _wide_weight_grids():
+            m = mm.from_matrix(g.boundary.astype(float), g.weights)
+            k1 = mm.matroid_kernel(m).matrix
+            k2 = dg.build_kernel(g, dg.MeasureSpec.ust()).matrix
+            assert np.abs(k1 - k2).max() < 1e-9, seed
 
     def test_circuit_vectors_match_graph_cycles(self):
         rng = np.random.default_rng(36)
