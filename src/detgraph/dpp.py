@@ -27,8 +27,9 @@ _BATCH_BYTES = 1 << 26  # bound on the per-batch Gram-Schmidt columns of sample_
 class ProjectionKernel:
     """Orthogonal projection onto the span of an orthonormal frame (n x rank).
 
-    The frame is the one representation; the dense Hermitian idempotent
-    `matrix` = frame @ frame^H is formed on first use (minors, JSON).
+    The frame is the one representation, real or complex as it was given;
+    the dense Hermitian idempotent `matrix` = frame @ frame^H, of the same
+    dtype, is formed on first use (minors, JSON).
     """
 
     frame: np.ndarray
@@ -63,7 +64,8 @@ class ProjectionKernel:
     @classmethod
     def from_frame(cls, frame: np.ndarray) -> "ProjectionKernel":
         """Kernel projecting onto the span of orthonormal columns, checked in O(n r^2)."""
-        q = np.array(frame, dtype=complex)
+        q = np.array(frame)
+        q = q.astype(np.result_type(q, float), copy=False)
         if q.ndim != 2:
             raise ValueError("frame must be a matrix")
         if not np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= KERNEL_TOL:
@@ -118,7 +120,8 @@ def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozen
     batch; sample i reads the Philox stream (seed + i, TAG_SAMPLER) exactly as
     sample(seed + i) does and repeats its arithmetic, so the two agree.
     """
-    per = max(1, _BATCH_BYTES // (16 * max(kernel.size, 1) * max(kernel.rank, 1)))
+    # the Gram-Schmidt columns of one sample take as many bytes as the frame
+    per = max(1, _BATCH_BYTES // max(kernel.frame.nbytes, 1))
     return [s for lo in range(0, count, per)
             for s in _chain_rule(kernel.frame, seed + lo, min(per, count - lo))]
 
@@ -129,7 +132,7 @@ def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
     uniforms = np.array([_rng.stream(seed + b, _rng.TAG_SAMPLER).random(r)
                          for b in range(count)])
     norms = np.tile((np.abs(v) ** 2).sum(axis=1), (count, 1))
-    cols = np.empty((count, r, n), dtype=complex)  # C^T, one Gram-Schmidt column per step
+    cols = np.empty((count, r, n), dtype=v.dtype)  # C^T, one Gram-Schmidt column per step
     chosen = np.empty((count, r), dtype=np.intp)
     rows = np.arange(count)
     for step in range(r):
@@ -147,7 +150,7 @@ def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
              - cols[rows, :step, idx].conj()[:, None, :] @ cols[:, :step, :])[:, 0, :]
         c /= np.sqrt(c[rows, idx].real)[:, None]
         cols[:, step, :] = c
-        norms -= c.real ** 2 + c.imag ** 2
+        norms -= c.real ** 2 + c.imag ** 2 if np.iscomplexobj(c) else c ** 2
         norms[rows, idx] = 0.0  # chosen rows only decrease from here, so stay excluded
     return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
 

@@ -7,6 +7,9 @@ vector e to x_e^{-1} e*.  Projection kernels are always expressed in the
 orthonormal basis omega_e = e*/sqrt(x_e), in which the weighted inner
 product becomes the standard one, so determinantal marginals are literal
 matrix entries.
+
+Forms, chains and frames keep the dtype of their input, np.result_type(input,
+float): real forms give real frames and complex forms complex ones.
 """
 
 from __future__ import annotations
@@ -18,17 +21,17 @@ RANK_RTOL = 1e-10
 
 def j_x(x: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """Antilinear isomorphism from chains to forms: e -> x_e^{-1} e*."""
-    return np.conj(np.asarray(chain, dtype=complex)) / np.asarray(x)
+    return np.conj(np.asarray(chain)) / np.asarray(x)
 
 
 def j_x_columns(x: np.ndarray, chains: np.ndarray) -> np.ndarray:
     """Apply j_x to every column of a chain matrix."""
-    return np.conj(np.asarray(chains, dtype=complex)) / np.asarray(x)[:, None]
+    return np.conj(np.asarray(chains)) / np.asarray(x)[:, None]
 
 
 def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """Rescale form coordinates (e* basis) to omega coordinates."""
-    return np.asarray(forms, dtype=complex) * np.sqrt(np.asarray(x))[:, None]
+    return np.asarray(forms) * np.sqrt(np.asarray(x))[:, None]
 
 
 def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -38,8 +41,9 @@ def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     accurate over wide weight spreads; no rank is decided.
     """
     order = np.argsort(-np.asarray(x), kind="stable")
-    q = np.empty(np.shape(basis), dtype=complex)
-    q[order] = np.linalg.qr(to_omega(x, basis)[order])[0]
+    a = to_omega(x, basis)
+    q = np.empty(a.shape, dtype=a.dtype)
+    q[order] = np.linalg.qr(a[order])[0]
     return q
 
 
@@ -51,13 +55,14 @@ def orthonormalize(columns: np.ndarray, scale: float | None = None) -> np.ndarra
     Pass an explicit scale when the columns are residuals of vectors with a
     known larger magnitude.
     """
-    a = np.asarray(columns, dtype=complex)
+    a = np.asarray(columns)
+    a = a.astype(np.result_type(a, float), copy=False)
     if a.ndim != 2 or a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
+        return np.zeros((a.shape[0], 0), dtype=a.dtype)
     if scale is None:
         scale = np.linalg.norm(a, axis=0).max()
     if scale == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
+        return np.zeros((a.shape[0], 0), dtype=a.dtype)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     return u[:, s > RANK_RTOL * scale]
 

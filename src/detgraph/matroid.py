@@ -80,6 +80,10 @@ class LinearMatroid:
             warnings.warn(f"basis {ill} is numerically ill conditioned", RuntimeWarning)
         return tuple(t for t, _ in scan)
 
+    @cached_property
+    def _basis_lookup(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.bases)
+
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
         return [t for t, _ in self._spanning_subsets(k)]
@@ -223,9 +227,13 @@ def conditional_density(m: LinearMatroid, k_set, subset) -> float:
 
 
 def _basis_ratio(m: LinearMatroid, z: np.ndarray, zk: np.ndarray, k_set) -> float:
-    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set."""
-    inside = set(k_set)
-    basis = next((t for t in m.bases if inside.issuperset(t)), None)
+    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set.
+
+    The bases are in lexicographic order, so T is the first rank-subset of
+    k_set, in that order, that is a basis.
+    """
+    basis = next((t for t in itertools.combinations(sorted(k_set), m.rank)
+                  if t in m._basis_lookup), None)
     if basis is None:
         raise ImpossibleCondition("conditioning set contains no basis")
     return float(abs(minor_on_complement(z, basis, range(m.ground_size))) ** 2
@@ -350,7 +358,7 @@ def circuit_basis_identity_check(m: LinearMatroid,
     b = z.shape[1]
     worst = 0.0
     checked = 0
-    basis_set = {t for t in m.bases}
+    basis_set = m._basis_lookup
     for rows in itertools.combinations(range(m.ground_size), b):
         coeff = complex(np.linalg.det(z[list(rows), :])) if b else 1.0 + 0j
         complement = tuple(i for i in range(m.ground_size) if i not in set(rows))
@@ -382,7 +390,10 @@ def matroid_from_json(text: str) -> LinearMatroid:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput("matroid JSON needs ground_size, target_dim, R and weights: "
                              f"{exc!r}") from exc
-    if not all(type(v) is int and v > 0 for v in shape) or pairs.shape != (shape[0] * shape[1], 2):
+    if pairs.shape == (0,):  # R of a matroid with target_dim 0
+        pairs = pairs.reshape(0, 2)
+    if not all(type(v) is int and v >= low for v, low in zip(shape, (0, 1))) \
+            or pairs.shape != (shape[0] * shape[1], 2):
         raise MalformedInput("matroid JSON needs target_dim x ground_size [re, im] pairs "
                              f"in R, got shape {pairs.shape}")
     return LinearMatroid((pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape), weights)

@@ -45,6 +45,7 @@ class MeasureSpec:
     variant: str
     k: int = 0
     l: int = 0
+    # forms are float64 unless one of them has a nonzero imaginary part
     theta: np.ndarray | None = None       # forms, num_edges x (k or l)
     phi: np.ndarray | None = None         # chains, num_edges x k
     connection: np.ndarray | None = None  # unit complex numbers per edge
@@ -87,10 +88,11 @@ class SubgraphWeight:
     topological: float
 
 
-def _frame_exact_forms(g: WeightedGraph, x: np.ndarray) -> np.ndarray:
+def _frame_exact_forms(g: WeightedGraph, x: np.ndarray, *forms: np.ndarray) -> np.ndarray:
     """Frame of the differentials of all vertices but the first, omega coords;
-    independent as the graph is connected."""
-    return weighted_frame(x, g.coboundary[:, 1:])
+    independent as the graph is connected.  Complex when a form it is
+    combined with is, so that a complex kernel is complex throughout."""
+    return weighted_frame(x, g.coboundary[:, 1:].astype(np.result_type(float, *forms)))
 
 
 def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray:
@@ -117,7 +119,7 @@ def _forest_core_frame(g: WeightedGraph, x: np.ndarray, phi: np.ndarray) -> np.n
     q u[:, k:] for q^H j_x(phi) = u r (complete QR); the one numeric decision
     is whether the k chains are independent inside the exact forms.
     """
-    q = _frame_exact_forms(g, x)
+    q = _frame_exact_forms(g, x, phi)
     k = phi.shape[1]
     if k == 0:
         return q
@@ -222,14 +224,14 @@ def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
     """k real forms drawn uniformly from the unit sphere (theta stream)."""
     gen = _rng.stream(seed, _rng.TAG_THETA)
     v = gen.standard_normal((g.num_edges, k))
-    return (v / np.linalg.norm(v, axis=0)).astype(complex)
+    return v / np.linalg.norm(v, axis=0)
 
 
 def random_phi(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
     """k real chains drawn uniformly from the unit sphere (phi stream)."""
     gen = _rng.stream(seed, _rng.TAG_PHI)
     v = gen.standard_normal((g.num_edges, k))
-    return (v / np.linalg.norm(v, axis=0)).astype(complex)
+    return v / np.linalg.norm(v, axis=0)
 
 
 def random_connection(g: WeightedGraph, seed: int) -> np.ndarray:
@@ -276,7 +278,8 @@ VARIANT_TABLE: dict[str, Variant] = {
         forms={}, family="connected", dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
-        frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x), to_omega(x, spec.theta)),
+        frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x, spec.theta),
+                                              to_omega(x, spec.theta)),
         support=lambda mask, k, l: (mask.b0, mask.b1) == (1, k),
         weight=lambda g, mask, spec: cycle_weight(g, mask, spec.theta).value,
         forms={"theta": "k"}, family="connected", dual="forest"),
@@ -316,9 +319,12 @@ def variant_of(name: str) -> Variant:
 def _spec_from_forms(variant: str, forms: dict) -> MeasureSpec:
     """Spec of a variant from its forms, with k and l read off their column counts.
 
-    A single form or chain may be given as a vector.
+    A single form or chain may be given as a vector.  The forms are real,
+    and so is the kernel, when every imaginary part is exactly 0.
     """
     forms = {key: np.asarray(value, dtype=complex) for key, value in forms.items()}
+    if not any(value.imag.any() for value in forms.values()):
+        forms = {key: value.real.copy() for key, value in forms.items()}
     counts = {}
     for key, count in VARIANT_TABLE[variant].forms.items():
         if count:
@@ -379,7 +385,7 @@ def forms_to_json(theta=None, phi=None, connection=None) -> str:
 
 
 def _complex_pairs(value, depth: int, key: str) -> np.ndarray:
-    """Complex array from [re, im] pairs nested `depth` lists deep."""
+    """Array from [re, im] pairs nested `depth` lists deep; real when every im is 0."""
     try:
         pairs = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -389,7 +395,7 @@ def _complex_pairs(value, depth: int, key: str) -> np.ndarray:
                              f"of [re, im] pairs, got shape {pairs.shape}")
     if not np.all(np.isfinite(pairs)):
         raise MalformedInput(f"forms {key!r} has non-finite entries")
-    return pairs[..., 0] + 1j * pairs[..., 1]
+    return pairs[..., 0] + 1j * pairs[..., 1] if pairs[..., 1].any() else pairs[..., 0]
 
 
 def forms_from_json(text: str) -> dict[str, np.ndarray]:

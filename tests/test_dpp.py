@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import detgraph as dg
+from detgraph import dpp
 from detgraph.errors import ImpossibleCondition, MalformedInput
 
 
@@ -211,3 +212,18 @@ class TestBatchOnComplexKernel:
         assert np.abs(k.matrix.imag).max() > 1e-6
         scalar = [dg.sample(k, 400 + i) for i in range(80)]
         assert dg.sample_batch(k, 400, 80) == scalar
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_batch_chunks_hold_the_byte_bound_and_keep_the_samples(monkeypatch, dtype):
+    k = dg.build_kernel(dg.grid_graph(3, 3), dg.MeasureSpec.ust())
+    k = dg.ProjectionKernel.from_frame(k.frame.astype(dtype))
+    whole = dg.sample_batch(k, 7, 12)
+    # room for the Gram-Schmidt columns of 5 samples, at the frame's own entry size
+    monkeypatch.setattr(dpp, "_BATCH_BYTES", 5 * k.frame.itemsize * k.size * k.rank)
+    sizes = []
+    chain_rule = dpp._chain_rule
+    monkeypatch.setattr(dpp, "_chain_rule",
+                        lambda v, seed, count: sizes.append(count) or chain_rule(v, seed, count))
+    assert dg.sample_batch(k, 7, 12) == whole
+    assert sizes == [5, 5, 2]

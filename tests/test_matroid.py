@@ -50,10 +50,14 @@ class TestConstruction:
         assert set(m.bases) == trees
 
     def test_json_roundtrip(self):
-        m = _random_matroid(2)
-        back = mm.matroid_from_json(mm.matroid_to_json(m))
-        assert np.allclose(back.matrix, m.matrix)
-        assert np.allclose(back.weights, m.weights)
+        # complex and real R, and a target_dim of 0, whose R is written as []
+        for m in (_random_matroid(2), _random_matroid(2, complex_entries=False),
+                  mm.from_matrix(np.zeros((0, 3)), np.array([0.5, 1.0, 2.0]))):
+            back = mm.matroid_from_json(mm.matroid_to_json(m))
+            assert back.matrix.shape == m.matrix.shape
+            assert np.array_equal(back.matrix, m.matrix)
+            assert np.array_equal(back.weights, m.weights)
+            assert back.bases == m.bases
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -73,8 +77,13 @@ class TestConstruction:
         '{"ground_size": 2, "target_dim": true, "R": [[1, 0], [1, 0]], "weights": [1, 1]}',
         '{"ground_size": 2, "target_dim": 1, "R": [[1, "a"], [1, 0]], "weights": [1, 1]}',
         '{"ground_size": 2, "target_dim": 1, "R": [[1, 0], [1, 0]]}',
+        '{"ground_size": 2, "target_dim": 0, "R": [[1, 0]], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": 1, "R": [], "weights": [1, 1]}',
+        '{"ground_size": 2, "target_dim": -1, "R": [], "weights": [1, 1]}',
+        '{"ground_size": 0, "target_dim": 0, "R": [], "weights": []}',
     ], ids=["empty", "list", "null", "string", "short-R", "triples", "bool-dim",
-            "text-entry", "no-weights"])
+            "text-entry", "no-weights", "R-at-dim-0", "empty-R", "negative-dim",
+            "no-elements"])
     def test_malformed_json_refused(self, text):
         with pytest.raises(MalformedInput):
             mm.matroid_from_json(text)

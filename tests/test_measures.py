@@ -538,3 +538,48 @@ class TestFrameKernel:
     def test_batch_equals_samples_per_seed(self, weighted_grid_4x4, variant):
         k = self.kernel(weighted_grid_4x4, variant)
         assert dg.sample_batch(k, 40, 7) == [dg.sample(k, 40 + i) for i in range(7)]
+
+
+REAL_VARIANTS = ["ust", "connected", "forest", "mixed"]
+
+
+class TestKernelDtype:
+    """A kernel is real when its forms are; crsf and complex forms are complex."""
+
+    @pytest.mark.parametrize("variant", REAL_VARIANTS)
+    def test_real_forms_give_a_real_frame(self, weighted_grid_4x4, variant):
+        g = weighted_grid_4x4
+        seeded = measures.random_spec(g, variant, 2, 1, seed=5)
+        forms = {key: getattr(seeded, key) for key in measures.VARIANT_TABLE[variant].forms}
+        loaded = measures.forms_from_json(measures.forms_to_json(**forms))  # im parts all 0
+        from_file = measures.random_spec(g, variant, 2, 1, seed=5, forms=loaded)
+        for spec in (seeded, from_file):
+            assert all(getattr(spec, key).dtype == np.float64 for key in forms)
+            assert dg.build_kernel(g, spec).frame.dtype == np.float64
+
+    @pytest.mark.parametrize("variant, key", [
+        ("crsf", None), ("connected", "theta"), ("forest", "phi"),
+        ("mixed", "theta"),  # real chains, complex forms
+    ])
+    def test_complex_forms_give_a_complex_frame(self, weighted_grid_4x4, variant, key):
+        g = weighted_grid_4x4
+        spec = measures.random_spec(g, variant, 1, 1, seed=5)
+        if key is not None:
+            form = getattr(spec, key)
+            spec = measures.random_spec(g, variant, 1, 1, seed=5,
+                                        forms={key: form + 1j * form[::-1]})
+        assert all(getattr(spec, key).dtype == np.complex128
+                   for key in measures.VARIANT_TABLE[variant].forms)
+        assert dg.build_kernel(g, spec).frame.dtype == np.complex128
+
+    @pytest.mark.parametrize("variant", REAL_VARIANTS)
+    def test_real_kernel_agrees_with_its_complex_cast(self, weighted_grid_4x4, variant):
+        k = dg.build_kernel(weighted_grid_4x4, measures.random_spec(weighted_grid_4x4,
+                                                                     variant, 2, 1, seed=5))
+        kc = dg.ProjectionKernel.from_frame(k.frame.astype(complex))
+        samples = dg.sample_batch(k, 11, 300)
+        assert samples == dg.sample_batch(kc, 11, 300)
+        assert np.abs(k.matrix - kc.matrix).max() <= 1e-15
+        assert max(abs(dg.density(k, s) - dg.density(kc, s)) for s in samples[:30]) <= 1e-15
+        exported = [np.asarray(json.loads(kern.to_json())["matrix"]) for kern in (k, kc)]
+        assert np.abs(exported[0] - exported[1]).max() <= 1e-15
