@@ -38,9 +38,11 @@ class ProjectionKernel:
     def __init__(self, matrix: np.ndarray, rank: int | None = None):
         """Kernel of a dense projector from outside the library (JSON, user code).
 
-        One O(n^3) eigh validates it and yields the frame; library kernels use from_frame.
+        One O(n^3) eigh, real for a real matrix, validates it and yields the
+        frame; library kernels use from_frame.
         """
-        m = np.asarray(matrix, dtype=complex).copy()
+        m = np.array(matrix)
+        m = m.astype(np.result_type(m, float), copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("kernel must be square")
         if np.abs(m - m.conj().T).max(initial=0.0) > KERNEL_TOL:
@@ -101,8 +103,9 @@ class ProjectionKernel:
         n = round(len(pairs) ** 0.5)
         if pairs.shape != (n * n, 2):
             raise MalformedInput(f"kernel matrix needs n*n [re, im] pairs, got {pairs.shape}")
-        m = (pairs[:, 0] + 1j * pairs[:, 1]).reshape(n, n)
-        return ProjectionKernel(m, payload["rank"])
+        re, im = pairs.T
+        m = re if not im.any() else re + 1j * im  # a real kernel stays real
+        return ProjectionKernel(m.reshape(n, n), payload["rank"])
 
 
 def sample(kernel: ProjectionKernel, seed: int) -> frozenset[int]:

@@ -150,12 +150,16 @@ def forest_poly_sum(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> 
 
 
 def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSpec) -> float:
-    """Defining sum of a measure's partition function at weights x."""
-    gx = WeightedGraph(g.num_vertices, g.edges,
-                       np.asarray(g.weights if x is None else x, dtype=float))
+    """Defining sum of a measure's partition function at weights x.
+
+    Each member's weight at unit weights times its monomial in x, so a zero
+    weight, which a WeightedGraph refuses, is a point of the sum too.
+    """
+    x = np.asarray(g.weights if x is None else x, dtype=float)
+    unit = WeightedGraph(g.num_vertices, g.edges)
     weight = measures.VARIANT_TABLE[spec.variant].weight
-    return sum(weight(gx, mask, spec)
-               for mask in enumerate_family(gx, spec.variant, k=spec.k))
+    return sum(weight(unit, mask, spec) * float(np.prod(x[list(mask.edge_set)]))
+               for mask in enumerate_family(unit, spec.variant, k=spec.k))
 
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,

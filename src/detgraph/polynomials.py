@@ -1,15 +1,22 @@
 """Partition-function polynomials of the subgraph measures.
 
-All polynomials are evaluated, never expanded symbolically.  Each evaluator
-has a determinant route (valid at complex weights, which is what the real
-stability check exercises) and the brute-force defining sum lives in the
-oracle module for cross-checking.
+All polynomials are evaluated, never expanded symbolically.  By Cauchy-Binet
+each is one Gram determinant G(x, V) = det(V^H diag(x) V) of an integer basis
+extended by its inputs (`linalg.bilinear_gram_det`), in the dtype of x and V:
+real inputs give real arithmetic, and complex weights, which the real
+stability check probes, are admitted.
 
-  kirchhoff_T      sum over spanning trees of x^T
-  symanzik_psi1    sum over spanning trees of x^(complement of T)
-  symanzik_psi2    sum over 2-forests weighted by squared flow imbalance
-  generalized_C    connected subgraphs with k cycles, weighted by forms
-  generalized_A    forests with k+1 components, weighted by chains
+  cut family, D = the coboundary without its first vertex column
+    kirchhoff_T      G(x, D)          sum over spanning trees of x^T
+    generalized_C    G(x, [D|theta])  connected subgraphs with k cycles, weighted by forms
+  cycle family, Z = the integral cycle basis
+    symanzik_psi1    G(x, Z)          sum over spanning trees of x^(complement of T)
+    symanzik_psi2    G(x, [Z|f_q])    2-forests weighted by squared flow imbalance
+    generalized_A    prod(x) G(1/x, [Z|phi])   forests with k+1 components, weighted by chains
+
+Only A and the Green pairing divide by the weights, so only they refuse a
+zero weight.  The brute-force defining sums live in the oracle module for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -25,19 +32,16 @@ from .measures import _frame_exact_forms
 
 
 def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
-    """Spanning-tree generating polynomial, via a reduced Laplacian determinant."""
+    """Spanning-tree generating polynomial: the Gram determinant of the reduced coboundary."""
     x = g.weights if x is None else np.asarray(x)
-    d = g.boundary.astype(complex)
-    lap = (d * x) @ d.T
-    red = lap[1:, 1:]
-    val = np.linalg.det(red) if red.size else 1.0
-    return _realify(val)
+    return _realify(bilinear_gram_det(x, g.coboundary[:, 1:]))
 
 
 def symanzik_psi1(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
-    """First Symanzik polynomial: sum over trees of the complement monomial."""
+    """First Symanzik polynomial, the sum over trees of the complement monomial:
+    the Gram determinant of the integral cycle basis (the loop matrix)."""
     x = g.weights if x is None else np.asarray(x)
-    return _realify(np.prod(x) * kirchhoff_T(g, _inverse(x)))
+    return _realify(bilinear_gram_det(x, cycle_space_basis(g)))
 
 
 def _inverse(x: np.ndarray) -> np.ndarray:
@@ -48,68 +52,48 @@ def _inverse(x: np.ndarray) -> np.ndarray:
 
 
 def _balanced(q: np.ndarray) -> np.ndarray:
-    """A vertex charge as a complex vector; ValueError unless it sums to zero."""
-    q = np.asarray(q, dtype=complex)
+    """A vertex charge in np.result_type(q, float); ValueError unless it sums to zero."""
+    q = np.asarray(q)
+    q = q.astype(np.result_type(q, float), copy=False)
     if abs(q.sum()) > 1e-9 * max(1.0, np.abs(q).max()):
         raise ValueError("vertex charge must sum to zero")
     return q
 
 
 def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
-    """Some chain whose boundary is q (q must sum to zero)."""
-    sol, *_ = np.linalg.lstsq(g.boundary.astype(complex), _balanced(q), rcond=None)
+    """Some chain whose boundary is q (q must sum to zero), in the dtype of q."""
+    q = _balanced(q)
+    sol, *_ = np.linalg.lstsq(g.boundary.astype(q.dtype), q, rcond=None)
     return sol
 
 
 def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
     """Second Symanzik polynomial for a balanced vertex charge q.
 
-    Determinant route: equals prod(x) times the k=1 forest polynomial at
-    inverted weights, for any chain with boundary q.
+    The Gram determinant of the integral cycle basis extended by any chain
+    with boundary q; which chain does not matter, as two differ by a cycle.
     """
-    x = np.asarray(x)
-    phi = flow_with_divergence(g, q)
-    return _realify(np.prod(x) * generalized_A(g, _inverse(x), phi[:, None]))
-
-
-def _domain_frames_C(g: WeightedGraph) -> np.ndarray:
-    """Orthonormal basis of mean-zero vertex functions (weight independent).
-
-    QR of the centred unit vectors of all vertices but the first: they are
-    independent, so no rank is decided.
-    """
-    n = g.num_vertices
-    return np.linalg.qr((np.eye(n) - 1.0 / n)[:, 1:].astype(complex))[0]
+    fam = np.hstack([cycle_space_basis(g), flow_with_divergence(g, q)[:, None]])
+    return _realify(bilinear_gram_det(np.asarray(x), fam))
 
 
 def generalized_C(g: WeightedGraph, x: np.ndarray | None, theta: np.ndarray) -> complex:
-    """Connected-subgraph polynomial via the bordered Laplacian determinant.
-
-    Equals |V|^(k-1) times the determinant of the quadratic form of the
-    differential extended by the k forms, computed as a Gram determinant;
-    polynomial in x, so complex weights are admitted.
-    """
+    """Connected-subgraph polynomial: the Gram determinant of the reduced
+    coboundary extended by the k forms; polynomial in x, so complex weights
+    are admitted."""
     x = g.weights if x is None else np.asarray(x)
-    theta = np.asarray(theta, dtype=complex).reshape(g.num_edges, -1)
-    k = theta.shape[1]
-    n = g.num_vertices
-    frames = _domain_frames_C(g)
-    images = np.hstack([g.coboundary.astype(complex) @ frames, theta / np.sqrt(n)])
-    return _realify(n ** (k - 1) * bilinear_gram_det(x, images))
+    theta = np.asarray(theta).reshape(g.num_edges, -1)
+    return _realify(bilinear_gram_det(x, np.hstack([g.coboundary[:, 1:], theta])))
 
 
 def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> complex:
-    """Forest polynomial via a Gram determinant of cycle and chain images.
-
-    prod(x) times the determinant of the pairwise sums
-    sum_e v_i[e] conj(w_j[e]) / x_e over an integral cycle basis extended by
-    the chains; polynomial in x, so complex weights are admitted.
-    """
+    """Forest polynomial: prod(x) times the Gram determinant, at weights 1/x,
+    of the integral cycle basis extended by the k chains; polynomial in x, so
+    complex weights are admitted, but a zero weight is refused."""
     x = g.weights if x is None else np.asarray(x)
-    phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
-    fam = np.hstack([cycle_space_basis(g).astype(complex), phi])
-    x = np.asarray(x, dtype=complex)
-    return _realify(np.prod(x) * bilinear_gram_det(_inverse(x), fam.conj()))
+    phi = np.asarray(phi).reshape(g.num_edges, -1)
+    fam = np.hstack([cycle_space_basis(g), phi])
+    return _realify(np.prod(x) * bilinear_gram_det(_inverse(x), fam))
 
 
 def _realify(z) -> complex:
@@ -136,7 +120,7 @@ def ratio_identity_connected(g: WeightedGraph, x: np.ndarray | None,
                              theta: np.ndarray) -> RatioReport:
     """C^(k)/T against the squared norm of the cycle-space projection of theta."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=complex).reshape(g.num_edges, -1)
+    theta = np.asarray(theta).reshape(g.num_edges, -1)
     lhs = generalized_C(g, x, theta).real / kirchhoff_T(g, x).real
     q = _frame_exact_forms(g, x)
     t = to_omega(x, theta)
@@ -148,7 +132,7 @@ def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
                           phi: np.ndarray) -> RatioReport:
     """A^(k)/T against the squared norm of the exact-form projection of j_x phi."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    phi = np.asarray(phi, dtype=complex).reshape(g.num_edges, -1)
+    phi = np.asarray(phi).reshape(g.num_edges, -1)
     lhs = generalized_A(g, x, phi).real / kirchhoff_T(g, x).real
     q = _frame_exact_forms(g, x)
     coords = q.conj().T @ to_omega(x, j_x_columns(x, phi))  # exact-form part, in frame coords
@@ -165,9 +149,8 @@ def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> floa
     q = _balanced(q)
     d = g.boundary.astype(float)
     lap = (d * _inverse(x)) @ d.T
-    u = np.zeros(g.num_vertices, dtype=complex)
-    u[1:] = np.linalg.solve(lap[1:, 1:], q[1:])
-    return float((np.conj(q) @ u).real)
+    u = np.linalg.solve(lap[1:, 1:], q[1:])  # the potential, 0 at the pinned vertex 0
+    return float((np.conj(q[1:]) @ u).real)
 
 
 def torus_volume(g: WeightedGraph, x: np.ndarray | None = None,

@@ -149,13 +149,13 @@ class TestPoly:
         assert json.loads(val.read_text())["value"][0] == pytest.approx(6.0)
 
     # non-finite inputs are refused (exit 2), and so are zero weights where the
-    # determinant route divides by the weights (exit 3); a zero weight elsewhere
-    # is a valid point of the polynomial
+    # determinant route divides by the weights (exit 3, only A); a zero weight
+    # elsewhere is a valid point of the polynomial
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("which, weights, q, code", [
         ("T", "nan,1,1,1", None, 2), ("T", "inf,1,1,1", None, 2),
-        ("psi2", "1,1,1,1", "nan,-1,0,0", 2), ("psi1", "0,1,1,1", None, 3),
-        ("psi2", "0,1,1,1", "1,-1,0,0", 3), ("A", "0,1,1,1", None, 3),
+        ("psi2", "1,1,1,1", "nan,-1,0,0", 2), ("psi1", "0,1,1,1", None, 0),
+        ("psi2", "0,1,1,1", "1,-1,0,0", 0), ("A", "0,1,1,1", None, 3),
         ("T", "0,1,1,1", None, 0), ("C", "0,1,1,1", None, 0),
     ])
     def test_weights_it_cannot_evaluate(self, which, weights, q, code, tmp_path, capsys):
@@ -165,14 +165,38 @@ class TestPoly:
         assert run("poly", "--graph", str(graph), "--which", which,
                    "--weights", weights, *charge, "-o", str(out)) == code
         assert "Traceback" not in capsys.readouterr().err
-        if code == 0:
-            assert np.all(np.isfinite(json.loads(out.read_text())["value"]))
-        else:
+        if code != 0:
             assert not out.exists()
+            return
+        value = json.loads(out.read_text())["value"]
+        assert np.all(np.isfinite(value))
+        if which != "C":  # C's forms are drawn from the seed
+            g = dg.WeightedGraph.from_json(graph.read_text())
+            inputs = [np.array(v.split(","), dtype=float) for v in (weights, q) if v]
+            assert value[0] == pytest.approx(
+                oracle.POLYNOMIALS[which].defining_sum(g, *inputs), rel=1e-12)
+
+    # psi1 and psi2 are homogeneous of degree b1 = 196 and b1 + 1 on a 15x15
+    # grid; their values at uniform weights span hundreds of decades
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weight", [0.1, 10.0])
+    @pytest.mark.parametrize("which, degree", [("psi1", 196), ("psi2", 197)])
+    def test_symanzik_at_uniform_weights_far_from_one(self, which, degree, weight, tmp_path):
+        graph = tmp_path / "g.json"
+        run("gen-grid", "--rows", "15", "--cols", "15", "-o", str(graph))
+        charge = ("--q=" + ",".join(["1", "-1"] + ["0"] * 223),) if which == "psi2" else ()
+        values = []
+        for w in (weight, 0.5):
+            out = tmp_path / f"{w}.json"
+            assert run("poly", "--graph", str(graph), "--which", which, *charge,
+                       "--weights", ",".join([repr(w)] * 420), "-o", str(out)) == 0
+            values.append(json.loads(out.read_text())["value"][0])
+        assert np.all(np.isfinite(values))
+        assert values[0] / values[1] == pytest.approx((weight / 0.5) ** degree, rel=1e-9)
 
     # the determinant overflows (numpy warns); the value is refused, not printed
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("which, weights", [("T", "1e200"), ("psi1", "1e-200")])
+    @pytest.mark.parametrize("which, weights", [("T", "1e200"), ("psi1", "1e308")])
     def test_value_that_overflows_exits_3(self, which, weights, tmp_path, capsys):
         graph, out = tmp_path / "g.json", tmp_path / "v.json"
         run("gen-grid", "--rows", "2", "--cols", "2", "-o", str(graph))

@@ -583,3 +583,14 @@ class TestKernelDtype:
         assert max(abs(dg.density(k, s) - dg.density(kc, s)) for s in samples[:30]) <= 1e-15
         exported = [np.asarray(json.loads(kern.to_json())["matrix"]) for kern in (k, kc)]
         assert np.abs(exported[0] - exported[1]).max() <= 1e-15
+
+    @pytest.mark.parametrize("variant", REAL_VARIANTS)
+    def test_json_keeps_a_real_kernel_real(self, weighted_grid_4x4, variant):
+        g = weighted_grid_4x4
+        k = dg.build_kernel(g, measures.random_spec(g, variant, 2, 1, seed=5))
+        back = dg.ProjectionKernel.from_json(k.to_json())
+        assert back.frame.dtype == np.float64
+        assert dg.sample_batch(back, 11, 300) == dg.sample_batch(k, 11, 300)
+        assert np.abs(back.matrix - k.matrix).max() <= 1e-15
+        crsf = dg.build_kernel(g, measures.random_spec(g, "crsf", 1, 1, seed=5))
+        assert dg.ProjectionKernel.from_json(crsf.to_json()).frame.dtype == np.complex128

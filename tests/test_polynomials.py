@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import detgraph as dg
 from detgraph import measures, oracle, polynomials
@@ -283,3 +284,47 @@ class TestComplexContinuation:
             total_a += topo * mono
         det_a = dg.generalized_A(g, z, phi)
         assert abs(det_a - total_a) < 1e-9 * abs(total_a)
+
+
+@st.composite
+def polynomial_cases(draw):
+    """A connected multigraph of 1 to 12 edges (loops and parallel edges
+    allowed) with positive weights, a set of edges to zero, and the inputs of
+    the polynomials: a balanced integer charge, forms and chains."""
+    n = draw(st.integers(1, 6))
+    vertex = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    edges += draw(st.lists(st.tuples(vertex, vertex), min_size=int(n == 1),
+                           max_size=12 - len(edges)))
+    edges = draw(st.permutations(edges))
+    g = dg.WeightedGraph(n, edges, draw(st.lists(
+        st.floats(0.1, 3.0), min_size=len(edges), max_size=len(edges))))
+    zeros = np.array(draw(st.lists(st.sampled_from([False, False, True]),
+                                   min_size=len(edges), max_size=len(edges))), dtype=bool)
+    charge = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    seed = draw(st.integers(0, 2 ** 16))
+    inputs = {
+        "q": np.array(charge + [-sum(charge)], dtype=float),
+        "theta": measures.random_theta(g, draw(st.integers(0, min(g.betti_1, 2))), seed),
+        "phi": measures.random_phi(g, draw(st.integers(0, min(n - 1, 2))), seed),
+    }
+    return g, zeros, inputs
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=polynomial_cases())
+def test_every_route_matches_its_defining_sum_at_zero_weights(case):
+    """T, C, psi1 and psi2 are evaluated with some weights exactly 0; A, whose
+    route divides by the weights, at the positive ones."""
+    g, zeros, inputs = case
+    for which, poly in oracle.POLYNOMIALS.items():
+        x = g.weights if which == "A" else np.where(zeros, 0.0, g.weights)
+        report = oracle.compare_polynomial(g, which, x, **inputs)
+        if report.passed:
+            continue
+        # where every member of the family has a zero weight the polynomial
+        # vanishes and a relative error means nothing; the route must vanish
+        # to rounding, against the scale of the polynomial at positive weights
+        extra = () if poly.extra is None else (inputs[poly.extra],)
+        assert poly.defining_sum(g, x, *extra) == 0.0, report
+        assert abs(poly.route(g, x, *extra)) <= 1e-12 * poly.defining_sum(g, g.weights, *extra)
