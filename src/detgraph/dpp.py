@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ImpossibleCondition, MalformedInput, NumericDegeneracy
-from .linalg import orthonormalize
+from .linalg import _complex_pairs, orthonormalize
 
 KERNEL_TOL = 1e-10
 PROB_FLOOR = 1e-14
@@ -38,26 +38,28 @@ class ProjectionKernel:
     def __init__(self, matrix: np.ndarray, rank: int | None = None):
         """Kernel of a dense projector from outside the library (JSON, user code).
 
-        One O(n^3) eigh, real for a real matrix, validates it and yields the
-        frame; library kernels use from_frame.
+        One O(n^3) eigh, real for a real matrix, validates it (MalformedInput
+        otherwise) and yields the frame; library kernels use from_frame.
         """
         m = np.array(matrix)
         m = m.astype(np.result_type(m, float), copy=False)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kernel must be square")
+            raise MalformedInput("kernel must be square")
+        if not np.all(np.isfinite(m)):
+            raise MalformedInput("kernel entries must be finite")
         if np.abs(m - m.conj().T).max(initial=0.0) > KERNEL_TOL:
-            raise ValueError("kernel must be Hermitian")
+            raise MalformedInput("kernel must be Hermitian")
         eigvals, eigvecs = np.linalg.eigh(m)
         if np.abs(eigvals * (eigvals - 1.0)).max(initial=0.0) > KERNEL_TOL:
-            raise ValueError("kernel must be idempotent")
+            raise MalformedInput("kernel must be idempotent")
         trace = float(np.trace(m).real)
         if rank is None:
             rank = round(trace)
         if abs(trace - rank) > 1e-8 * max(1, m.shape[0]):
-            raise ValueError(f"trace {trace} does not match rank {rank}")
+            raise MalformedInput(f"trace {trace} does not match rank {rank}")
         diag = np.diag(m).real
         if diag.min(initial=0.0) < -KERNEL_TOL or diag.max(initial=0.0) > 1 + KERNEL_TOL:
-            raise ValueError("kernel diagonal must lie in [0, 1]")
+            raise MalformedInput("kernel diagonal must lie in [0, 1]")
         frame = eigvecs[:, eigvals > 0.5]
         for a in (m, frame):
             a.setflags(write=False)
@@ -99,12 +101,12 @@ class ProjectionKernel:
     @staticmethod
     def from_json(text: str) -> "ProjectionKernel":
         payload = json.loads(text)
-        pairs = np.asarray(payload["matrix"], dtype=float)
-        n = round(len(pairs) ** 0.5)
-        if pairs.shape != (n * n, 2):
-            raise MalformedInput(f"kernel matrix needs n*n [re, im] pairs, got {pairs.shape}")
-        re, im = pairs.T
-        m = re if not im.any() else re + 1j * im  # a real kernel stays real
+        if not (isinstance(payload, dict) and type(payload.get("rank")) is int):
+            raise MalformedInput("kernel JSON must be an object with an integer rank")
+        m = _complex_pairs(payload.get("matrix"), 1, "kernel matrix")  # a real kernel stays real
+        n = round(len(m) ** 0.5)
+        if len(m) != n * n:
+            raise MalformedInput(f"kernel matrix needs n*n [re, im] pairs, got {len(m)}")
         return ProjectionKernel(m.reshape(n, n), payload["rank"])
 
 

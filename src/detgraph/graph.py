@@ -62,20 +62,18 @@ class _UnionFind:
         self.parent[rv] = ru
         return True
 
+    def labels(self) -> tuple[int, ...]:
+        """Component label per vertex, labels numbered by smallest member vertex."""
+        roots: dict[int, int] = {}
+        return tuple(roots.setdefault(self.find(v), len(roots)) for v in range(len(self.parent)))
+
 
 def components_of(num_vertices: int, edges: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """Component label per vertex, labels numbered by smallest member vertex."""
     uf = _UnionFind(num_vertices)
     for tail, head in edges:
         uf.union(tail, head)
-    roots: dict[int, int] = {}
-    labels = []
-    for v in range(num_vertices):
-        r = uf.find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        labels.append(roots[r])
-    return tuple(labels)
+    return uf.labels()
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,8 +170,11 @@ class WeightedGraph:
 class SubgraphMask:
     """Subset of the positive edges of a graph, with its topology computed once.
 
-    labels gives the component of each vertex, numbered by smallest member
-    vertex; b0 counts connected components including isolated vertices, and
+    One union-find pass over the edges in ascending index order: the edges
+    that join two components form _forest, the min-index spanning forest of
+    the mask, and every other edge closes one independent cycle.  labels
+    gives the component of each vertex, numbered by smallest member vertex;
+    b0 counts connected components including isolated vertices, and
     b0 - b1 = |V| - |edges| always holds.
     """
 
@@ -182,17 +183,20 @@ class SubgraphMask:
     labels: tuple[int, ...] = field(init=False)
     b0: int = field(init=False)
     b1: int = field(init=False)
+    _forest: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         edges = self.graph.edges
         for i in self.edge_set:
             if not (0 <= i < len(edges)):
                 raise ValueError(f"edge index {i} out of range")
-        labels = components_of(self.graph.num_vertices, (edges[i] for i in self.edge_set))
-        b0 = max(labels) + 1
+        uf = _UnionFind(self.graph.num_vertices)
+        forest = tuple(i for i in sorted(self.edge_set) if uf.union(*edges[i]))
+        labels = uf.labels()
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "b1", len(self.edge_set) - len(labels) + b0)
+        object.__setattr__(self, "b0", max(labels) + 1)
+        object.__setattr__(self, "b1", len(self.edge_set) - len(forest))
+        object.__setattr__(self, "_forest", forest)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -212,14 +216,14 @@ class SubgraphMask:
 
     def weight_monomial(self) -> float:
         """Product of the weights of the edges in the mask."""
-        idx = list(self.edge_set)
-        return float(np.prod(self.graph.weights[idx])) if idx else 1.0
+        return float(np.prod(self.graph.weights[list(self.edge_set)]))  # 1 on no edge
 
-
-def _min_index_forest(g: WeightedGraph, pool: Iterable[int]) -> set[int]:
-    """Greedy spanning forest of the pool: each edge, in pool order, that joins two components."""
-    uf = _UnionFind(g.num_vertices)
-    return {i for i in pool if uf.union(*g.edges[i])}
+    def _component_b1(self) -> list[int]:
+        """First Betti number of each component: its edges outside the forest."""
+        b1 = [0] * self.b0
+        for i in self.edge_set.difference(self._forest):
+            b1[self.labels[self.graph.edges[i][0]]] += 1
+        return b1
 
 
 class _RootedForest:
@@ -274,19 +278,33 @@ class _RootedForest:
                     v = parent[v]
         return out
 
+    def _below(self, a: np.ndarray) -> np.ndarray:
+        """Row v of the result: the sum of the rows of `a` over the subtree below v."""
+        for v in reversed(self.order):  # children first
+            if self.parent[v] >= 0:
+                a[self.parent[v]] += a[v]
+        return a
+
     def cuts(self, forest_edges: Sequence[int]) -> np.ndarray:
         """Fundamental cuts as columns: the coboundary of the subtree below each
         forest edge, negated where the edge points up, so that it is the
         coboundary of the edge's head side and +1 on the edge."""
         edges = self.graph.edges
-        below = np.eye(self.graph.num_vertices, dtype=int)  # row v: the subtree below v
-        for v in reversed(self.order):
-            if self.parent[v] >= 0:
-                below[self.parent[v]] += below[v]
+        below = self._below(np.eye(self.graph.num_vertices, dtype=int))
         side = below[[v for e in forest_edges for v in edges[e] if self.parent_edge[v] == e]]
         tails, heads = np.array(edges, dtype=int).reshape(-1, 2).T
         cuts = side[:, heads] - side[:, tails]
         return (cuts * cuts[np.arange(len(forest_edges)), list(forest_edges)][:, None]).T
+
+    def flow(self, q: np.ndarray) -> np.ndarray:
+        """Chain on the forest edges with boundary q, which must sum to zero on
+        each tree: every forest edge carries the charge of its head side."""
+        below = self._below(q.copy())
+        f = np.zeros(self.graph.num_edges, dtype=q.dtype)
+        for v, e in enumerate(self.parent_edge):
+            if e >= 0:
+                f[e] = below[v] if self.graph.edges[e][1] == v else -below[v]
+        return f
 
 
 def _rooted_tree(g: WeightedGraph, tree: SubgraphMask) -> _RootedForest:
@@ -318,10 +336,9 @@ def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None
     """Deterministic spanning tree/forest: greedy over ascending edge indices.
 
     Restricted to `within` if given; spans each component of `within`
-    (the whole graph when `within` is None).  Reproducible by construction.
+    (the whole graph when `within` is None).  The forest its mask keeps.
     """
-    pool = range(g.num_edges) if within is None else within.indices
-    return g.mask(_min_index_forest(g, pool))
+    return g.mask((g.full_mask() if within is None else within)._forest)
 
 
 def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -> np.ndarray:
@@ -330,9 +347,8 @@ def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -
     The fundamental cycles of its min-index spanning forest, one per remaining
     edge in ascending order, so the signs are reproducible.
     """
-    pool = range(g.num_edges) if within is None else within.indices
-    forest = _min_index_forest(g, pool)
-    return _RootedForest(g, forest).cycles([e for e in pool if e not in forest])
+    mask = g.full_mask() if within is None else within
+    return _RootedForest(g, mask._forest).cycles(sorted(mask.edge_set.difference(mask._forest)))
 
 
 def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.ndarray:

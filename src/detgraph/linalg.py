@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import MalformedInput
+
 RANK_RTOL = 1e-10
 
 
@@ -114,3 +116,18 @@ def bilinear_gram_det(x: np.ndarray, vectors: np.ndarray) -> complex:
     # optimize=True contracts through BLAS, ~40x faster than the plain loop at 420 edges
     m = np.einsum("e,ei,ej->ij", x, v.conj(), v, optimize=True)
     return complex(np.linalg.det(m))
+
+
+def _complex_pairs(value, depth: int, what: str) -> np.ndarray:
+    """Array from JSON [re, im] pairs nested `depth` lists deep; real when every
+    im is 0.  MalformedInput names `what` unless they form a nonempty finite array."""
+    try:
+        pairs = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{what} is not an array of [re, im] pairs") from exc
+    if pairs.ndim != depth + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
+        raise MalformedInput(f"{what} needs a nonempty {depth}-deep list "
+                             f"of [re, im] pairs, got shape {pairs.shape}")
+    if not np.all(np.isfinite(pairs)):
+        raise MalformedInput(f"{what} has non-finite entries")
+    return pairs[..., 0] + 1j * pairs[..., 1] if pairs[..., 1].any() else pairs[..., 0]

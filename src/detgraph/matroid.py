@@ -100,9 +100,8 @@ class LinearMatroid:
         basis = tuple(sorted(basis))
         if j in basis:
             raise ValueError("element already belongs to the basis")
-        cols = self.matrix[:, list(basis)]
-        rhs = -self.matrix[:, j]
-        coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+        # in the coordinates of `image` the basis columns are a square system
+        coeff = np.linalg.solve(self.image[list(basis)].T, -self.image[j])
         v = np.zeros(self.ground_size, dtype=complex)
         v[list(basis)] = coeff
         v[j] = 1.0
@@ -137,9 +136,10 @@ def change_of_basis_det(m: LinearMatroid, z_columns: np.ndarray,
                         basis: tuple[int, ...]) -> complex:
     """det of the kernel family expressed in the fundamental basis of `basis`.
 
-    Computed by expanding each column in the fundamental circuit vectors via
-    a least-squares solve, which cross-checks that the family really lies in
-    the kernel; equals the minor of z_columns on the complement rows.
+    Both families are expanded in the orthonormal kernel basis Z, so the
+    change of basis is det(Z^H z) / det(Z^H zt); this cross-checks the
+    fundamental circuit vectors, and equals the minor of z_columns on the
+    complement rows when the family lies in the kernel.
     """
     z = np.asarray(z_columns, dtype=complex)
     zt = m.fundamental_circuit_basis(tuple(sorted(basis)))
@@ -147,8 +147,8 @@ def change_of_basis_det(m: LinearMatroid, z_columns: np.ndarray,
         raise ValueError("family size must equal the corank")
     if zt.shape[1] == 0:
         return 1.0 + 0j
-    coeffs = np.linalg.lstsq(zt, z, rcond=None)[0]
-    return complex(np.linalg.det(coeffs))
+    k = m.kernel_basis.conj().T
+    return complex(np.linalg.det(k @ z) / np.linalg.det(k @ zt))
 
 
 def minor_on_complement(z: np.ndarray, basis, within) -> complex:

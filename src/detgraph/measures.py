@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Collection
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +34,8 @@ from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
 from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
-from .linalg import (RANK_RTOL, extend_frame, j_x_columns, orthonormalize, to_omega,
-                     unit_columns, weighted_frame)
+from .linalg import (RANK_RTOL, _complex_pairs, extend_frame, j_x_columns, orthonormalize,
+                     to_omega, unit_columns, weighted_frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +197,7 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     independent cycles are rejected outright.
     """
     h = np.asarray(connection, dtype=complex)
-    comp_b1 = _per_component_b1(g, mask.edge_set, mask.labels)
+    comp_b1 = mask._component_b1()
     if any(b > 1 for b in comp_b1):
         raise ValueError("component with two or more independent cycles")
     mono = mask.weight_monomial()
@@ -208,16 +208,6 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     hol = np.where(cycles > 0, h[:, None], np.where(cycles < 0, h.conj()[:, None], 1)).prod(axis=0)
     topo = float(np.prod(np.abs(1.0 - hol) ** 2))
     return SubgraphWeight(topo * mono, mono, topo)
-
-
-def _per_component_b1(g: WeightedGraph, edges: Collection[int], labels) -> list[int]:
-    """First Betti number of each component of an edge set, from its vertex labels."""
-    b1 = [1] * (max(labels) + 1)
-    for label in labels:
-        b1[label] -= 1
-    for i in edges:
-        b1[labels[g.edges[i][0]]] += 1
-    return b1
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
@@ -249,10 +239,6 @@ _DRAWS = {
 
 # planar duality transports coefficients: primal chains are dual forms
 _DUAL_FORM = {"theta": "phi", "phi": "theta"}
-
-
-def _mixed_law(mask: SubgraphMask, k: int, l: int) -> bool:
-    return mask.b0 - mask.b1 == k - l + 1 and max(0, l - k) <= mask.b1 <= l
 
 
 @dataclass(frozen=True)
@@ -293,15 +279,15 @@ VARIANT_TABLE: dict[str, Variant] = {
         size=lambda n, k, l: n,
         frame=lambda g, x, spec: orthonormalize(
             to_omega(x, twisted_differential(g, spec.connection))),
-        support=lambda mask, k, l: all(
-            b == 1 for b in _per_component_b1(mask.graph, mask.edge_set, mask.labels)),
+        support=lambda mask, k, l: all(b == 1 for b in mask._component_b1()),
         weight=lambda g, mask, spec: crsf_weight(g, mask, spec.connection).value,
         forms={"connection": None}, family="crsf"),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
         frame=lambda g, x, spec: extend_frame(
             _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)),
-        support=_mixed_law,
+        support=lambda mask, k, l: (mask.b0 - mask.b1 == k - l + 1
+                                    and max(0, l - k) <= mask.b1 <= l),
         weight=None,
         forms={"phi": "k", "theta": "l"}, family="mixed"),
 }
@@ -384,20 +370,6 @@ def forms_to_json(theta=None, phi=None, connection=None) -> str:
     return json.dumps(payload)
 
 
-def _complex_pairs(value, depth: int, key: str) -> np.ndarray:
-    """Array from [re, im] pairs nested `depth` lists deep; real when every im is 0."""
-    try:
-        pairs = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"forms {key!r} is not an array of [re, im] pairs") from exc
-    if pairs.ndim != depth + 1 or pairs.shape[-1] != 2 or pairs.size == 0:
-        raise MalformedInput(f"forms {key!r} needs a nonempty {depth}-deep list "
-                             f"of [re, im] pairs, got shape {pairs.shape}")
-    if not np.all(np.isfinite(pairs)):
-        raise MalformedInput(f"forms {key!r} has non-finite entries")
-    return pairs[..., 0] + 1j * pairs[..., 1] if pairs[..., 1].any() else pairs[..., 0]
-
-
 def forms_from_json(text: str) -> dict[str, np.ndarray]:
     payload = json.loads(text)
     if not isinstance(payload, dict):
@@ -405,7 +377,7 @@ def forms_from_json(text: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for key in ("theta", "phi"):
         if key in payload:
-            out[key] = np.column_stack(_complex_pairs(payload[key], 2, key))
+            out[key] = np.column_stack(_complex_pairs(payload[key], 2, f"forms {key!r}"))
     if "connection" in payload:
-        out["connection"] = _complex_pairs(payload["connection"], 1, "connection")
+        out["connection"] = _complex_pairs(payload["connection"], 1, "forms 'connection'")
     return out

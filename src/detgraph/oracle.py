@@ -110,20 +110,13 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
 def tree_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     """Defining sum of the tree polynomial."""
     x = g.weights if x is None else np.asarray(x)
-    total = 0.0
-    for t in enumerate_family(g, "connected"):
-        idx = list(t.edge_set)
-        total += float(np.prod(x[idx])) if idx else 1.0
-    return total
+    return sum(float(np.prod(x[list(t.edge_set)])) for t in enumerate_family(g, "connected"))
 
 
 def psi1_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     x = g.weights if x is None else np.asarray(x)
-    total = 0.0
-    for t in enumerate_family(g, "connected"):
-        others = [i for i in range(g.num_edges) if i not in t.edge_set]
-        total += float(np.prod(x[others])) if others else 1.0
-    return total
+    return sum(float(np.prod(np.delete(x, list(t.edge_set))))
+               for t in enumerate_family(g, "connected"))
 
 
 def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:
@@ -134,9 +127,7 @@ def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:
     for f in enumerate_family(g, "forest", k=1):
         labels = np.array(f.labels)
         charge = complex(q[labels == 0].sum())
-        others = [i for i in range(g.num_edges) if i not in f.edge_set]
-        mono = float(np.prod(x[others])) if others else 1.0
-        total += float(abs(charge) ** 2) * mono
+        total += float(abs(charge) ** 2) * float(np.prod(np.delete(x, list(f.edge_set))))
     return total
 
 

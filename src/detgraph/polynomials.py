@@ -2,20 +2,21 @@
 
 All polynomials are evaluated, never expanded symbolically.  By Cauchy-Binet
 each is one Gram determinant G(x, V) = det(V^H diag(x) V) of an integer basis
-extended by its inputs (`linalg.bilinear_gram_det`), in the dtype of x and V:
-real inputs give real arithmetic, and complex weights, which the real
-stability check probes, are admitted.
+extended by its inputs (`linalg.bilinear_gram_det`), or for A bordered by
+them, in the dtype of x and V: real inputs give real arithmetic, and complex
+weights, which the real stability check probes, are admitted.
 
   cut family, D = the coboundary without its first vertex column
     kirchhoff_T      G(x, D)          sum over spanning trees of x^T
     generalized_C    G(x, [D|theta])  connected subgraphs with k cycles, weighted by forms
+    generalized_A    (-1)^k det[[D^T X D, D^T conj(phi)], [phi^T D, 0]]
+                                      forests with k+1 components, weighted by chains
   cycle family, Z = the integral cycle basis
     symanzik_psi1    G(x, Z)          sum over spanning trees of x^(complement of T)
     symanzik_psi2    G(x, [Z|f_q])    2-forests weighted by squared flow imbalance
-    generalized_A    prod(x) G(1/x, [Z|phi])   forests with k+1 components, weighted by chains
 
-Only A and the Green pairing divide by the weights, so only they refuse a
-zero weight.  The brute-force defining sums live in the oracle module for
+Only the Green pairing divides by the weights, so only it refuses a zero
+weight.  The brute-force defining sums live in the oracle module for
 cross-checking.
 """
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDegeneracy
-from .graph import SubgraphMask, WeightedGraph, cut_space_basis, cycle_space_basis
+from .graph import SubgraphMask, WeightedGraph, _RootedForest, cut_space_basis, cycle_space_basis
 from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega
 from .measures import _frame_exact_forms
 
@@ -44,13 +45,6 @@ def symanzik_psi1(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
     return _realify(bilinear_gram_det(x, cycle_space_basis(g)))
 
 
-def _inverse(x: np.ndarray) -> np.ndarray:
-    """1/x for the routes that divide by the weights, refusing a zero weight."""
-    if np.any(x == 0):
-        raise NumericDegeneracy("this determinant route divides by the weights, and one is 0")
-    return 1.0 / x
-
-
 def _balanced(q: np.ndarray) -> np.ndarray:
     """A vertex charge in np.result_type(q, float); ValueError unless it sums to zero."""
     q = np.asarray(q)
@@ -61,10 +55,10 @@ def _balanced(q: np.ndarray) -> np.ndarray:
 
 
 def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
-    """Some chain whose boundary is q (q must sum to zero), in the dtype of q."""
-    q = _balanced(q)
-    sol, *_ = np.linalg.lstsq(g.boundary.astype(q.dtype), q, rcond=None)
-    return sol
+    """Some chain whose boundary is q (q must sum to zero), in the dtype of q:
+    the flow along the min-index spanning tree, each tree edge carrying the
+    charge of its head side."""
+    return _RootedForest(g, g.full_mask()._forest).flow(_balanced(q))
 
 
 def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
@@ -82,18 +76,22 @@ def generalized_C(g: WeightedGraph, x: np.ndarray | None, theta: np.ndarray) -> 
     coboundary extended by the k forms; polynomial in x, so complex weights
     are admitted."""
     x = g.weights if x is None else np.asarray(x)
-    theta = np.asarray(theta).reshape(g.num_edges, -1)
-    return _realify(bilinear_gram_det(x, np.hstack([g.coboundary[:, 1:], theta])))
+    fam = np.hstack([g.coboundary[:, 1:], np.column_stack([theta])])
+    return _realify(bilinear_gram_det(x, fam))
 
 
 def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> complex:
-    """Forest polynomial: prod(x) times the Gram determinant, at weights 1/x,
-    of the integral cycle basis extended by the k chains; polynomial in x, so
-    complex weights are admitted, but a zero weight is refused."""
+    """Forest polynomial: the Gram matrix of the reduced coboundary D, bordered
+    by the pairings D^T phi of the k chains, (-1)^k det[[D^T X D, D^T conj(phi)],
+    [phi^T D, 0]].  Polynomial in x with no division, so zero and complex
+    weights are admitted."""
     x = g.weights if x is None else np.asarray(x)
-    phi = np.asarray(phi).reshape(g.num_edges, -1)
-    fam = np.hstack([cycle_space_basis(g), phi])
-    return _realify(np.prod(x) * bilinear_gram_det(_inverse(x), fam))
+    phi = np.column_stack([phi])
+    d = g.coboundary[:, 1:].astype(np.result_type(x, phi, float))
+    k = phi.shape[1]
+    bordered = np.block([[(d.T * x) @ d, d.T @ phi.conj()],
+                         [phi.T @ d, np.zeros((k, k))]])
+    return _realify((-1) ** k * np.linalg.det(bordered) if bordered.size else 1.0)
 
 
 def _realify(z) -> complex:
@@ -120,7 +118,7 @@ def ratio_identity_connected(g: WeightedGraph, x: np.ndarray | None,
                              theta: np.ndarray) -> RatioReport:
     """C^(k)/T against the squared norm of the cycle-space projection of theta."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    theta = np.asarray(theta).reshape(g.num_edges, -1)
+    theta = np.column_stack([theta])
     lhs = generalized_C(g, x, theta).real / kirchhoff_T(g, x).real
     q = _frame_exact_forms(g, x)
     t = to_omega(x, theta)
@@ -132,7 +130,7 @@ def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
                           phi: np.ndarray) -> RatioReport:
     """A^(k)/T against the squared norm of the exact-form projection of j_x phi."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    phi = np.asarray(phi).reshape(g.num_edges, -1)
+    phi = np.column_stack([phi])
     lhs = generalized_A(g, x, phi).real / kirchhoff_T(g, x).real
     q = _frame_exact_forms(g, x)
     coords = q.conj().T @ to_omega(x, j_x_columns(x, phi))  # exact-form part, in frame coords
@@ -147,8 +145,10 @@ def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> floa
     """
     x = np.asarray(x, dtype=float)
     q = _balanced(q)
+    if np.any(x == 0):
+        raise NumericDegeneracy("the Green pairing divides by the weights, and one is 0")
     d = g.boundary.astype(float)
-    lap = (d * _inverse(x)) @ d.T
+    lap = (d / x) @ d.T
     u = np.linalg.solve(lap[1:, 1:], q[1:])  # the potential, 0 at the pinned vertex 0
     return float((np.conj(q[1:]) @ u).real)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import detgraph as dg
-from detgraph import oracle
+from detgraph import measures, oracle
 from detgraph.cli import main
 
 
@@ -148,14 +148,13 @@ class TestPoly:
                    "--weights", "2.0,3.0", "-o", str(val)) == 0
         assert json.loads(val.read_text())["value"][0] == pytest.approx(6.0)
 
-    # non-finite inputs are refused (exit 2), and so are zero weights where the
-    # determinant route divides by the weights (exit 3, only A); a zero weight
-    # elsewhere is a valid point of the polynomial
+    # non-finite inputs are refused (exit 2); no `poly` route divides by the
+    # weights, so a zero weight is a valid point of every polynomial
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("which, weights, q, code", [
         ("T", "nan,1,1,1", None, 2), ("T", "inf,1,1,1", None, 2),
         ("psi2", "1,1,1,1", "nan,-1,0,0", 2), ("psi1", "0,1,1,1", None, 0),
-        ("psi2", "0,1,1,1", "1,-1,0,0", 0), ("A", "0,1,1,1", None, 3),
+        ("psi2", "0,1,1,1", "1,-1,0,0", 0), ("A", "0,1,1,1", None, 0),
         ("T", "0,1,1,1", None, 0), ("C", "0,1,1,1", None, 0),
     ])
     def test_weights_it_cannot_evaluate(self, which, weights, q, code, tmp_path, capsys):
@@ -173,14 +172,18 @@ class TestPoly:
         if which != "C":  # C's forms are drawn from the seed
             g = dg.WeightedGraph.from_json(graph.read_text())
             inputs = [np.array(v.split(","), dtype=float) for v in (weights, q) if v]
+            if which == "A":  # the chains of --k 1 at --seed 0, the defaults
+                inputs.append(measures.random_spec(g, "forest", 1, 0, 0).phi)
             assert value[0] == pytest.approx(
                 oracle.POLYNOMIALS[which].defining_sum(g, *inputs), rel=1e-12)
 
     # psi1 and psi2 are homogeneous of degree b1 = 196 and b1 + 1 on a 15x15
-    # grid; their values at uniform weights span hundreds of decades
+    # grid, and A with k = 1 of degree |V| - 2 = 223; their values at uniform
+    # weights span hundreds of decades
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("weight", [0.1, 10.0])
-    @pytest.mark.parametrize("which, degree", [("psi1", 196), ("psi2", 197)])
+    @pytest.mark.parametrize("which, degree, weight", [
+        ("psi1", 196, 0.1), ("psi1", 196, 10.0), ("psi2", 197, 0.1), ("psi2", 197, 10.0),
+        ("A", 223, 0.1)])
     def test_symanzik_at_uniform_weights_far_from_one(self, which, degree, weight, tmp_path):
         graph = tmp_path / "g.json"
         run("gen-grid", "--rows", "15", "--cols", "15", "-o", str(graph))
@@ -192,7 +195,7 @@ class TestPoly:
                        "--weights", ",".join([repr(w)] * 420), "-o", str(out)) == 0
             values.append(json.loads(out.read_text())["value"][0])
         assert np.all(np.isfinite(values))
-        assert values[0] / values[1] == pytest.approx((weight / 0.5) ** degree, rel=1e-9)
+        assert values[0] / values[1] == pytest.approx((weight / 0.5) ** degree, rel=1e-9, abs=0)
 
     # the determinant overflows (numpy warns); the value is refused, not printed
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -28,11 +28,25 @@ class TestKernelValidation:
         with pytest.raises(ValueError, match="idempotent"):
             dg.ProjectionKernel(0.5 * np.eye(2))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(MalformedInput, match="finite"):
+            dg.ProjectionKernel(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_json_with_non_square_length_rejected(self, triangle_ust):
         payload = json.loads(triangle_ust.to_json())
         payload["matrix"] = payload["matrix"][:-1]
         with pytest.raises(MalformedInput, match="n\\*n"):
             dg.ProjectionKernel.from_json(json.dumps(payload))
+
+    # a document that is not a kernel ends in the typed error, not a KeyError,
+    # TypeError, LinAlgError or plain ValueError
+    @pytest.mark.parametrize("document", [
+        "{}", "[]", '{"rank": "2", "matrix": [[1, 0]]}',
+        '{"rank": 1, "matrix": [[NaN, 0], [0, 0], [0, 0], [0, 0]]}',
+        '{"rank": 1, "matrix": [[1, 0], [1, 0], [0, 0], [0, 0]]}'])
+    def test_malformed_json_rejected(self, document):
+        with pytest.raises(MalformedInput):
+            dg.ProjectionKernel.from_json(document)
 
     def test_json_roundtrip(self, triangle_ust):
         back = dg.ProjectionKernel.from_json(triangle_ust.to_json())

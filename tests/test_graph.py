@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +172,23 @@ class TestIntegralBases:
                 assert not basis[[e for e in range(g.num_edges) if e not in mask]].any()
                 assert not (g.boundary @ basis).any()
         assert max(components) >= 2
+
+    # sha256 of every cycle basis and min-index tree over all 512 masks of the
+    # 9-edge graph of test_distribution.py and over a whole 15x15 grid, as
+    # computed when the forest had its own union-find; the cycle signs and the
+    # tree are part of every weight, so they must not move
+    def test_bases_and_trees_are_pinned(self):
+        digest = hashlib.sha256()
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)])
+        grid = dg.grid_graph(15, 15)
+        cases = [(g, g.mask(s)) for r in range(10) for s in itertools.combinations(range(9), r)]
+        for graph, mask in [*cases, (grid, None), (grid, grid.full_mask())]:
+            basis = dg.cycle_space_basis(graph, within=mask)
+            tree = dg.min_index_spanning_tree(graph, within=mask)
+            digest.update(repr(basis.shape).encode() + basis.astype("<i8").tobytes())
+            digest.update(repr(tree.indices).encode())
+        assert digest.hexdigest() == \
+            "a69a1f8f7415e5d3a18cd9007b3320e2d9e9ce287e27c05a62f5ef118a782979"
 
     def test_cycle_basis_takes_no_tree(self, triangle):
         with pytest.raises(TypeError):

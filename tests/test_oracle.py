@@ -1,4 +1,3 @@
-import sys
 import time
 
 import numpy as np
@@ -93,8 +92,8 @@ class TestCompareMeasure:
         assert victim in rep.support_mismatches
 
     # union-find passes on the 9-edge graph of test_distribution.py: one per
-    # scanned subset of the sample size; the cycle bases of the weights take
-    # their forests straight from the union-find and build no mask
+    # scanned subset of the sample size, made by its mask; the weights read
+    # their cycle bases and per-component cycle counts off that mask's forest
     @pytest.mark.parametrize("variant, subsets, at_most", [
         ("ust", 126, 126), ("forest", 126, 126), ("crsf", 84, 84), ("connected", 84, 84)])
     def test_each_topology_computed_once(self, variant, subsets, at_most, monkeypatch):
@@ -102,11 +101,12 @@ class TestCompareMeasure:
         g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)], weights)
         spec = measures.random_spec(g, variant, 1, 1, 11)
         passes = []
-        components_of = dg.graph.components_of
-        for name, module in list(sys.modules.items()):  # wherever a module holds it
-            if name.startswith("detgraph") and vars(module).get("components_of") is components_of:
-                monkeypatch.setattr(module, "components_of",
-                                    lambda *args: passes.append(1) or components_of(*args))
+
+        class Counted(dg.graph._UnionFind):
+            def __init__(self, n):
+                passes.append(n)
+                super().__init__(n)
+        monkeypatch.setattr(dg.graph, "_UnionFind", Counted)
         assert oracle.compare_measure(g, spec).passed
         assert subsets <= len(passes) <= at_most
 

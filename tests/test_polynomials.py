@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import detgraph as dg
-from detgraph import measures, oracle, polynomials
+from detgraph import linalg, measures, oracle, polynomials
 from detgraph.errors import NumericDegeneracy
 
 from conftest import random_connected_graph
@@ -64,6 +64,41 @@ class TestPsi2:
         with pytest.raises(ValueError, match="sum to zero"):
             dg.symanzik_psi2(triangle, triangle.weights, np.array([1.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("side", [8, 11, 15])
+    def test_tree_flow_has_boundary_q(self, side):
+        # the flow runs along the min-index tree; any chain with boundary q
+        # gives psi2, so the least-squares flow must give the same value
+        rng = np.random.default_rng(side)
+        g = dg.grid_graph(side, side)
+        x = rng.uniform(0.5, 2.0, g.num_edges)
+        q = rng.standard_normal(g.num_vertices)
+        q -= q.mean()
+        f = polynomials.flow_with_divergence(g, q)
+        assert f.dtype == np.float64
+        assert np.abs(g.boundary @ f - q).max() < 1e-12
+        tree = dg.min_index_spanning_tree(g).edge_set
+        assert not f[[e for e in range(g.num_edges) if e not in tree]].any()
+        least_squares = np.linalg.lstsq(g.boundary.astype(float), q, rcond=None)[0]
+        fam = np.hstack([dg.cycle_space_basis(g), least_squares[:, None]])
+        assert dg.symanzik_psi2(g, x, q).real == pytest.approx(
+            linalg.bilinear_gram_det(x, fam).real, rel=1e-12)
+
+    def test_complex_charge_gives_complex_flow(self, square_with_chord):
+        g = square_with_chord
+        q = np.array([1 + 2j, -1j, 0.5, -1.5 - 1j])
+        f = polynomials.flow_with_divergence(g, q)
+        assert f.dtype == np.complex128
+        assert np.abs(g.boundary @ f - q).max() < 1e-15
+
+    def test_small_graphs_match_enumeration(self, square_with_chord):
+        rng = np.random.default_rng(12)
+        for g in (square_with_chord, dg.grid_graph(2, 3),
+                  random_connected_graph(rng, 9, min_b1=2)):
+            q = rng.standard_normal(g.num_vertices)
+            q -= q.mean()
+            assert dg.symanzik_psi2(g, g.weights, q).real == pytest.approx(
+                oracle.psi2_sum(g, g.weights, q), rel=1e-12)
+
 
 class TestGeneralizedPolynomials:
     def test_k_zero_reduces_to_tree_polynomial(self, square_with_chord):
@@ -116,6 +151,21 @@ class TestGeneralizedPolynomials:
         c1 = dg.generalized_C(g, None, theta).real
         c2 = dg.generalized_C(g, None, lam * theta).real
         assert c2 == pytest.approx(abs(lam) ** 2 * c1, rel=1e-10)
+
+
+class TestEdgelessGraph:
+    # one vertex and no edge: the empty subgraph is the one spanning tree
+    # and the one connected subgraph with 0 cycles; no subgraph has more
+    def test_polynomials_of_the_single_vertex(self):
+        g = dg.WeightedGraph(1, [])
+        x, none = np.zeros(0), np.zeros((0, 0))
+        assert dg.kirchhoff_T(g, x) == dg.symanzik_psi1(g, x) == 1.0
+        assert dg.generalized_C(g, x, none) == dg.generalized_A(g, x, none) == 1.0
+        assert dg.generalized_C(g, x, np.zeros((0, 1))) == 0.0
+        assert dg.generalized_A(g, x, np.zeros((0, 1))) == 0.0
+        assert dg.symanzik_psi2(g, x, np.zeros(1)) == 0.0
+        assert polynomials.ratio_identity_connected(g, x, none).rel_error == 0.0
+        assert polynomials.ratio_identity_forest(g, x, none).rel_error == 0.0
 
 
 class TestRatioIdentities:
@@ -314,11 +364,10 @@ def polynomial_cases(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(case=polynomial_cases())
 def test_every_route_matches_its_defining_sum_at_zero_weights(case):
-    """T, C, psi1 and psi2 are evaluated with some weights exactly 0; A, whose
-    route divides by the weights, at the positive ones."""
+    """Every route is evaluated with some weights exactly 0."""
     g, zeros, inputs = case
+    x = np.where(zeros, 0.0, g.weights)
     for which, poly in oracle.POLYNOMIALS.items():
-        x = g.weights if which == "A" else np.where(zeros, 0.0, g.weights)
         report = oracle.compare_polynomial(g, which, x, **inputs)
         if report.passed:
             continue
