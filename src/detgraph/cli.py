@@ -117,6 +117,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # inf would pass every density error and flag no support mismatch; nan
+    # would fail every comparison
+    if not math.isfinite(args.tolerance):
+        raise MalformedInput("--tolerance needs a finite value")
     g = _read_graph(args.graph)
     spec = _spec_from_args(g, args)
     report = oracle.compare_measure(g, spec, tolerance=args.tolerance)

@@ -160,12 +160,21 @@ def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
     return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
 
 
-def density(kernel: ProjectionKernel, subset) -> float:
-    """P(X = subset) for a subset of size rank: a principal minor."""
-    idx = sorted(subset)
-    if len(idx) != kernel.rank or len(set(idx)) != len(idx):
+def density(kernel: ProjectionKernel, subsets) -> float | np.ndarray:
+    """P(X = subset) for a subset of size rank: a principal minor.
+
+    An (N, rank) array of subsets, one per row, gives the N densities as an
+    array from one stacked determinant, each equal to the value its row gives
+    alone.  The caller bounds N: the minors take N rank^2 matrix entries.
+    """
+    stacked = np.ndim(subsets) == 2
+    idx = np.sort(subsets, axis=1) if stacked else np.array(sorted(subsets))
+    if idx.shape[-1] != kernel.rank or np.any(idx[..., 1:] == idx[..., :-1]):
         raise ValueError(f"density needs exactly rank={kernel.rank} distinct indices")
-    return inclusion_probability(kernel, idx)
+    if not stacked:
+        return inclusion_probability(kernel, idx)
+    minors = kernel.matrix[idx[:, :, None], idx[:, None, :]]
+    return np.maximum(np.linalg.det(minors).real, 0.0)
 
 
 def inclusion_probability(kernel: ProjectionKernel, subset) -> float:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -218,12 +218,124 @@ class SubgraphMask:
         """Product of the weights of the edges in the mask."""
         return float(np.prod(self.graph.weights[list(self.edge_set)]))  # 1 on no edge
 
-    def _component_b1(self) -> list[int]:
+    @property
+    def component_b1(self) -> tuple[int, ...]:
         """First Betti number of each component: its edges outside the forest."""
         b1 = [0] * self.b0
         for i in self.edge_set.difference(self._forest):
             b1[self.labels[self.graph.edges[i][0]]] += 1
-        return b1
+        return tuple(b1)
+
+    def topology(self) -> "SubsetTopology":
+        """This mask as a one-row SubsetTopology, from its own union-find and forest."""
+        g, dtype = self.graph, _index_dtype(self.graph)
+        indices = self.indices
+        return SubsetTopology(
+            subsets=np.array([indices], dtype=dtype),
+            labels=np.array([self.labels], dtype=dtype),
+            b0=np.array([self.b0], dtype=dtype), b1=np.array([self.b1], dtype=dtype),
+            component_b1=np.array([self.component_b1 + (0,) * (g.num_vertices - self.b0)],
+                                  dtype=dtype),
+            forest=np.array([[i in self._forest for i in indices]], dtype=bool),
+            cycles=cycle_space_basis(g, within=self).T[None].astype(np.int8))
+
+
+def _index_dtype(g: WeightedGraph) -> np.dtype:
+    """Smallest signed integer type holding every vertex and edge count of g."""
+    return np.min_scalar_type(-max(g.num_vertices, g.num_edges) - 1)
+
+
+@dataclass(frozen=True, eq=False)
+class SubsetTopology:
+    """Integer topology of a stack of edge subsets, one row per subset.
+
+    Row n is what SubgraphMask(g, subsets[n]) computes: labels numbered by
+    smallest vertex, b0 and b1, the first Betti number of each component by
+    label (zero past b0), the flags of the min-index spanning forest over the
+    row's edges, and cycles[n, :b1[n]], the transposed columns of
+    cycle_space_basis(g, within=mask), zero past b1[n].
+    """
+
+    subsets: np.ndarray       # (N, s) ascending edge indices
+    labels: np.ndarray        # (N, |V|)
+    b0: np.ndarray            # (N,)
+    b1: np.ndarray            # (N,)
+    component_b1: np.ndarray  # (N, |V|)
+    forest: np.ndarray        # (N, s) bool
+    cycles: np.ndarray        # (N, c, |E|) int8, c at least the largest b1
+
+    def __len__(self) -> int:
+        return len(self.subsets)
+
+    def take(self, rows) -> "SubsetTopology":
+        """The stack of the selected rows (a boolean mask or indices), its
+        cycles cut to the largest b1 among them."""
+        width = int(self.b1[rows].max(initial=0))
+        return SubsetTopology(cycles=self.cycles[rows, :width], **{
+            f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "cycles"})
+
+    @staticmethod
+    def concatenate(parts: Sequence["SubsetTopology"]) -> "SubsetTopology":
+        """One stack of the rows of all parts in order; cycles padded with zero chains."""
+        width = max(p.cycles.shape[1] for p in parts)
+        cycles = [np.pad(p.cycles, ((0, 0), (0, width - p.cycles.shape[1]), (0, 0)))
+                  for p in parts]
+        return SubsetTopology(cycles=np.concatenate(cycles), **{
+            f.name: np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(SubsetTopology) if f.name != "cycles"})
+
+
+def subset_topology(g: WeightedGraph, subsets: np.ndarray) -> SubsetTopology:
+    """Topology of every row of an (N, s) array of ascending edge subsets.
+
+    The stacked form of a mask's union-find, in integers only and one step
+    per edge position.  Labels start as the vertices and merge to the smaller
+    label, so each ends as its component's smallest vertex; an edge that joins
+    two labels is a forest edge.  root[n, v] is the forest chain from the root
+    of v's component to v, so a non-forest edge e closes the fundamental cycle
+    e + root[tail] - root[head], the one chain of e and forest edges that is a
+    cycle; a joining edge re-roots the side with the larger label, adding that
+    same chain to it, negated when that side holds the tail.  The cost is
+    N s |V| |E| int8 operations, for small graphs only: a single large mask
+    takes its union-find.
+    """
+    subsets = np.asarray(subsets, dtype=np.intp)
+    n, s = subsets.shape
+    nv, ne = g.num_vertices, g.num_edges
+    dtype = _index_dtype(g)
+    ends = np.array(g.edges, dtype=np.intp).reshape(ne, 2)
+    base = np.arange(n) * nv  # flat index of each row's vertex 0
+    labels = np.tile(np.arange(nv, dtype=dtype), (n, 1))
+    root = np.zeros((n, nv * ne), dtype=np.int8)  # row n: the chains of its vertices in turn
+    chains = root.reshape(n * nv, ne)
+    cycles = np.zeros((n, s, ne), dtype=np.int8)
+    b1 = np.zeros(n, dtype=dtype)
+    forest = np.zeros((n, s), dtype=bool)
+    for j in range(s):
+        e = subsets[:, j]
+        tail, head = base + ends[e, 0], base + ends[e, 1]
+        lt, lh = labels.ravel().take(tail), labels.ravel().take(head)
+        chain = chains.take(tail, axis=0) - chains.take(head, axis=0)
+        chain.ravel()[np.arange(0, n * ne, ne) + e] += 1
+        joins = forest[:, j] = lt != lh
+        closing = np.flatnonzero(~joins)
+        cycles[closing, b1[closing]] = chain[closing]
+        b1[closing] += 1
+        big = np.where(joins, np.maximum(lt, lh), -1)
+        moved = labels == big[:, None]
+        sign = np.where(lt == big, -1, 1).astype(np.int8)
+        # contiguous (n, |V| |E|) operands: faster than broadcasting over |E|
+        step = np.repeat(moved.view(np.int8) * sign[:, None], ne, axis=1)
+        step *= np.tile(chain, nv)
+        root += step
+        np.copyto(labels, np.minimum(lt, lh)[:, None], where=moved)
+    first = labels == np.arange(nv)  # each component's smallest vertex
+    labels = np.take_along_axis(np.cumsum(first, axis=1, dtype=dtype) - 1, labels, axis=1)
+    b0 = first.sum(axis=1, dtype=dtype)
+    # the component of each closing edge, counted per row and label
+    owner = np.take_along_axis(labels, ends[subsets, 0], axis=1) + base[:, None]
+    component_b1 = np.bincount(owner[~forest], minlength=n * nv).reshape(n, nv).astype(dtype)
+    return SubsetTopology(subsets.astype(dtype), labels, b0, b1, component_b1, forest, cycles)
 
 
 class _RootedForest:

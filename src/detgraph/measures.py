@@ -33,7 +33,7 @@ import numpy as np
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
-from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
+from .graph import SubgraphMask, WeightedGraph
 from .linalg import (RANK_RTOL, _complex_pairs, extend_frame, j_x_columns, orthonormalize,
                      to_omega, unit_columns, weighted_frame)
 
@@ -150,26 +150,66 @@ def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> Su
     return g.mask(sample(kernel, seed))
 
 
+def _monomial(x: np.ndarray, t) -> np.ndarray:
+    """x^S of each row of a stack of subsets."""
+    return x[t.subsets].prod(axis=-1)
+
+
+def _cycle_factor(t, theta: np.ndarray) -> np.ndarray:
+    """|det(theta_i(gamma_j))|^2 over the cycles of a stack of b1 = k rows."""
+    # (theta_i, gamma_j); einsum casts the int8 cycles a buffer at a time
+    pairing = np.einsum("ei,nje->nij", theta, t.cycles[:, :theta.shape[1]])
+    return np.abs(np.linalg.det(pairing)) ** 2
+
+
+def _cut_factor(g: WeightedGraph, t, phi: np.ndarray) -> np.ndarray:
+    """|det((phi_i, kappa_j))|^2 over the cuts of a stack of b0 = k + 1 rows."""
+    return np.abs(np.linalg.det(phi.T @ component_cuts(g, t, phi.shape[1]))) ** 2
+
+
+def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
+    """prod |1 - holonomy|^2 over the cycles of each row; 0 where a component is a tree."""
+    h = np.asarray(connection, dtype=complex)
+    closed = np.arange(t.cycles.shape[1]) < t.b1[:, None]
+    cycles = t.cycles[closed]
+    # holonomy prod h_e^gamma_e, with h^-1 = conj(h): row gamma_e + 1 of the powers
+    powers = np.stack([h.conj(), np.ones_like(h), h])
+    hol = powers[cycles + 1, np.arange(len(h))].prod(axis=-1)
+    factor = np.ones(closed.shape)
+    factor[closed] = np.abs(1.0 - hol) ** 2
+    return np.where((t.component_b1 > 0).sum(axis=-1) == t.b0, factor.prod(axis=-1), 0.0)
+
+
+def _one_row(g: WeightedGraph, mask: SubgraphMask, factor) -> SubgraphWeight:
+    """A mask's weight from the code that weighs stacks, on its one-row topology."""
+    t = mask.topology()
+    topo = float(factor(t)[0])
+    mono = float(_monomial(g.weights, t)[0])
+    return SubgraphWeight(topo * mono, mono, topo)
+
+
 def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> SubgraphWeight:
     """Weight x^K |det(theta_i(gamma_j))|^2 of a connected spanning subgraph.
 
     The cycle basis choice does not matter: any two integral bases differ by
     a unimodular change of basis.
     """
-    theta = np.asarray(theta, dtype=complex).reshape(g.num_edges, -1)
+    theta = np.asarray(theta).reshape(g.num_edges, -1)
     if not mask.is_connected():
         raise ValueError("subgraph is not connected spanning")
     if mask.b1 != theta.shape[1]:
         raise ValueError(f"subgraph has b1={mask.b1}, expected {theta.shape[1]}")
-    pairing = theta.T @ cycle_space_basis(g, within=mask)  # (theta_i, gamma_j)
-    topo = float(np.abs(np.linalg.det(pairing)) ** 2) if pairing.shape[0] else 1.0
-    mono = mask.weight_monomial()
-    return SubgraphWeight(topo * mono, mono, topo)
+    return _one_row(g, mask, lambda t: _cycle_factor(t, theta))
 
 
-def component_cuts(g: WeightedGraph, mask: SubgraphMask) -> np.ndarray:
-    """Cut cochains separating each component of the mask except the last."""
-    inside = np.array(mask.labels)[:, None] == np.arange(mask.b0 - 1)
+def component_cuts(g: WeightedGraph, t, count: int | None = None) -> np.ndarray:
+    """Cut cochains separating each of the first `count` components, as columns.
+
+    By default every component of a mask except the last: (|E|, b0 - 1).  On
+    a SubsetTopology stack, (N, |E|, count).
+    """
+    count = t.b0 - 1 if count is None else count
+    inside = np.asarray(t.labels)[..., None] == np.arange(count)
     return g.coboundary @ inside.astype(int)
 
 
@@ -178,16 +218,12 @@ def forest_weight(g: WeightedGraph, mask: SubgraphMask, phi: np.ndarray) -> Subg
 
     The omitted component and the component order do not change the value.
     """
-    phi = np.asarray(phi, dtype=complex)
+    phi = np.asarray(phi)
     if mask.b1 != 0:
         raise ValueError("subgraph has a cycle")
     if mask.b0 != phi.shape[1] + 1:
         raise ValueError(f"forest has {mask.b0} components, expected {phi.shape[1] + 1}")
-    cuts = component_cuts(g, mask)
-    pairing = phi.T @ cuts
-    topo = float(np.abs(np.linalg.det(pairing)) ** 2) if pairing.shape[0] else 1.0
-    mono = mask.weight_monomial()
-    return SubgraphWeight(topo * mono, mono, topo)
+    return _one_row(g, mask, lambda t: _cut_factor(g, t, phi))
 
 
 def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) -> SubgraphWeight:
@@ -196,18 +232,9 @@ def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) ->
     Zero when some component is a tree; components with two or more
     independent cycles are rejected outright.
     """
-    h = np.asarray(connection, dtype=complex)
-    comp_b1 = mask._component_b1()
-    if any(b > 1 for b in comp_b1):
+    if max(mask.component_b1) > 1:
         raise ValueError("component with two or more independent cycles")
-    mono = mask.weight_monomial()
-    if any(b == 0 for b in comp_b1):
-        return SubgraphWeight(0.0, mono, 0.0)
-    cycles = cycle_space_basis(g, within=mask)  # one per component
-    # holonomy prod h_e^gamma_e, with h^-1 = conj(h)
-    hol = np.where(cycles > 0, h[:, None], np.where(cycles < 0, h.conj()[:, None], 1)).prod(axis=0)
-    topo = float(np.prod(np.abs(1.0 - hol) ** 2))
-    return SubgraphWeight(topo * mono, mono, topo)
+    return _one_row(g, mask, lambda t: _holonomy_factor(t, connection))
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
@@ -247,9 +274,13 @@ class Variant:
 
     size: Callable[[int, int, int], int]          # sample size from (|V|, k, l)
     frame: Callable[..., np.ndarray]              # (g, x, spec) -> omega frame of the range
-    # support law: (mask, k, l) -> bool, on the mask's integer topology only
-    support: Callable[[SubgraphMask, int, int], bool]
-    weight: Callable[..., float] | None           # (g, mask, spec) -> weight, if closed form
+    # support law: (topology, k, l) -> bool, on the integer b0, b1 and
+    # component_b1 alone; elementwise, so it serves a SubgraphMask and a
+    # SubsetTopology stack alike
+    support: Callable[..., bool | np.ndarray]
+    # (g, stack, spec) -> the weight of each row of a SubsetTopology stack of
+    # the support, at the graph's weights, if closed form
+    weight: Callable[..., np.ndarray] | None
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
     family: str                                   # oracle family enumerating the support
     dual: str | None = None                       # variant under planar duality
@@ -259,35 +290,37 @@ VARIANT_TABLE: dict[str, Variant] = {
     "ust": Variant(
         size=lambda n, k, l: n - 1,
         frame=lambda g, x, spec: _frame_exact_forms(g, x),
-        support=lambda mask, k, l: (mask.b0, mask.b1) == (1, 0),
-        weight=lambda g, mask, spec: mask.weight_monomial(),
+        support=lambda t, k, l: (t.b0 == 1) & (t.b1 == 0),
+        weight=lambda g, t, spec: _monomial(g.weights, t),
         forms={}, family="connected", dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
         frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x, spec.theta),
                                               to_omega(x, spec.theta)),
-        support=lambda mask, k, l: (mask.b0, mask.b1) == (1, k),
-        weight=lambda g, mask, spec: cycle_weight(g, mask, spec.theta).value,
+        support=lambda t, k, l: (t.b0 == 1) & (t.b1 == k),
+        weight=lambda g, t, spec: _monomial(g.weights, t) * _cycle_factor(t, spec.theta),
         forms={"theta": "k"}, family="connected", dual="forest"),
     "forest": Variant(
         size=lambda n, k, l: n - 1 - k,
         frame=lambda g, x, spec: _forest_core_frame(g, x, spec.phi),
-        support=lambda mask, k, l: (mask.b0, mask.b1) == (k + 1, 0),
-        weight=lambda g, mask, spec: forest_weight(g, mask, spec.phi).value,
+        support=lambda t, k, l: (t.b0 == k + 1) & (t.b1 == 0),
+        weight=lambda g, t, spec: _monomial(g.weights, t) * _cut_factor(g, t, spec.phi),
         forms={"phi": "k"}, family="forest", dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
         frame=lambda g, x, spec: orthonormalize(
             to_omega(x, twisted_differential(g, spec.connection))),
-        support=lambda mask, k, l: all(b == 1 for b in mask._component_b1()),
-        weight=lambda g, mask, spec: crsf_weight(g, mask, spec.connection).value,
+        # b1 = b0 cycles with at most one per component: exactly one in each
+        support=lambda t, k, l: (t.b1 == t.b0) & (np.max(t.component_b1, axis=-1) <= 1),
+        weight=lambda g, t, spec: (_monomial(g.weights, t)
+                                   * _holonomy_factor(t, spec.connection)),
         forms={"connection": None}, family="crsf"),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
         frame=lambda g, x, spec: extend_frame(
             _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)),
-        support=lambda mask, k, l: (mask.b0 - mask.b1 == k - l + 1
-                                    and max(0, l - k) <= mask.b1 <= l),
+        support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
+                                 & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
         weight=None,
         forms={"phi": "k", "theta": "l"}, family="mixed"),
 }
@@ -357,7 +390,7 @@ def random_spec(g: WeightedGraph, variant: str, k: int, l: int, seed: int,
 
 def sample_in_support(spec: MeasureSpec, mask: SubgraphMask) -> bool:
     """Whether a sample satisfies the topological support law of its measure."""
-    return VARIANT_TABLE[spec.variant].support(mask, spec.k, spec.l)
+    return bool(VARIANT_TABLE[spec.variant].support(mask, spec.k, spec.l))
 
 
 def forms_to_json(theta=None, phi=None, connection=None) -> str:

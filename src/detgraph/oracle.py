@@ -1,22 +1,25 @@
 """Brute-force ground truth by exhaustive subset enumeration.
 
 Every determinant formula in the library has a defining sum over subgraphs
-or matroid bases; this module evaluates those sums directly (integer
-component counts from union-find, no floating point in family membership)
-and reports discrepancies against the fast routes.
+or matroid bases; this module evaluates those sums directly and reports
+discrepancies against the fast routes.  Subsets are scanned in blocks: one
+integer topology pass per block decides family membership (no floating point
+there), and the weights and minors of a block are one stacked evaluation each.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import dpp, matroid as matroid_mod, measures, polynomials
-from .graph import SubgraphMask, WeightedGraph, check_enumeration_cap
+from . import dpp, graph as graph_mod, matroid as matroid_mod, measures, polynomials
+from .graph import WeightedGraph, check_enumeration_cap
 
 DENSITY_TOL = 1e-9
 POLY_RTOL = 1e-9
@@ -49,33 +52,73 @@ class OracleReport:
         }
 
 
-def enumerate_family(g: WeightedGraph, family: str, k: int = 0,
-                     l: int = 0) -> list[SubgraphMask]:
+# bound on the bytes of the largest per-block array of a stacked scan: the
+# root-chain table of the topology pass, or the minors of one density stack
+_BLOCK_BYTES = 1 << 20
+
+
+def _blocks(num_edges: int, size: int, row_bytes: int):
+    """The size-subsets of range(num_edges) in lexicographic order, as
+    (offset, rows) pairs: rows an array of at most _BLOCK_BYTES // row_bytes
+    subsets, offset the position of its first row.  At least one, maybe empty."""
+    per = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    if not 0 <= size <= num_edges:
+        yield 0, np.zeros((0, 0), dtype=np.intp)
+        return
+    total = math.comb(num_edges, size)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(num_edges), size))
+    for offset in range(0, total, per):
+        rows = min(per, total - offset)
+        yield offset, np.fromiter(flat, dtype=np.intp, count=rows * size).reshape(rows, size)
+
+
+@dataclass(frozen=True, eq=False)
+class Family(Sequence):
+    """Members of a subgraph family: a SubgraphMask per index, arrays in bulk.
+
+    topology is the SubsetTopology stack of the members; positions[i] is the
+    position of member i among all subsets of its size in lexicographic order.
+    """
+
+    graph: WeightedGraph
+    topology: graph_mod.SubsetTopology
+    positions: np.ndarray
+
+    @property
+    def subsets(self) -> np.ndarray:
+        return self.topology.subsets
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.graph.mask(self.subsets[i])
+
+
+def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0) -> Family:
     """Exact subgraph family by exhaustive filtering with a support law.
 
     family is a variant name of measures.VARIANT_TABLE: "connected" (b1 = k,
     connected spanning; "ust" is its k = 0 case), "forest" (acyclic, k+1
     components), "crsf" (every component unicyclic), or "mixed" (Euler
-    characteristic k-l+1 with the b1 window).  Each scanned subset's topology
-    is computed once, by its mask, and the members are those masks.
+    characteristic k-l+1 with the b1 window).  The subsets of the family's
+    size are scanned in blocks; each block takes one integer topology pass,
+    graph.subset_topology, and the support law keeps its members.
     """
     check_enumeration_cap(g.num_edges)
     variant = measures.variant_of(family)
     size = variant.size(g.num_vertices, k, l)
-    if size < 0 or size > g.num_edges:
-        return []
-    support = variant.support
-    masks = (SubgraphMask(g, frozenset(subset))
-             for subset in itertools.combinations(range(g.num_edges), size))
-    return [mask for mask in masks if support(mask, k, l)]
-
-
-def combinatorial_weight(g: WeightedGraph, spec: measures.MeasureSpec,
-                         mask: SubgraphMask) -> float:
-    weight = measures.VARIANT_TABLE[spec.variant].weight
-    if weight is None:
-        raise ValueError(f"{spec.variant} weights have no closed-form evaluator")
-    return weight(g, mask, spec)
+    members, positions = [], []
+    # the root-chain table and the cycles of the topology pass, per row
+    row_bytes = (g.num_vertices + max(size, 0)) * g.num_edges
+    for offset, block in _blocks(g.num_edges, size, row_bytes):
+        topology = graph_mod.subset_topology(g, block)
+        keep = variant.support(topology, k, l)
+        members.append(topology.take(keep))
+        positions.append(offset + np.flatnonzero(keep))
+    return Family(g, graph_mod.SubsetTopology.concatenate(members), np.concatenate(positions))
 
 
 def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
@@ -84,51 +127,60 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
 
     Also scans every subset of the sample cardinality for support mismatches:
     positive density outside the family, or positive weight with zero density.
+    The densities come from dpp.density one block of subsets at a time.
     """
     start = time.monotonic()
     check_enumeration_cap(g.num_edges)
     kernel = measures.build_kernel(g, spec)
-    fam = enumerate_family(g, measures.VARIANT_TABLE[spec.variant].family,
-                           k=spec.k, l=spec.l)
-    weights = {m.indices: combinatorial_weight(g, spec, m) for m in fam}
-    total = sum(weights.values())
+    variant = measures.VARIANT_TABLE[spec.variant]
+    if variant.weight is None:
+        raise ValueError(f"{spec.variant} weights have no closed-form evaluator")
+    fam = enumerate_family(g, variant.family, k=spec.k, l=spec.l)
+    weights = variant.weight(g, fam.topology, spec)
+    normalized = np.zeros(math.comb(g.num_edges, kernel.rank))
+    normalized[fam.positions] = weights / weights.sum()
+    member = np.zeros(len(normalized), dtype=bool)
+    member[fam.positions] = True
     report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
                           density_tol=tolerance)
-    fam_keys = set(weights)
-    for subset in itertools.combinations(range(g.num_edges), kernel.rank):
-        dens = dpp.density(kernel, subset)
-        w = weights.get(subset, 0.0) / total
-        report.max_density_error = max(report.max_density_error, abs(dens - w))
-        if subset not in fam_keys and dens > tolerance:
-            report.support_mismatches.append(subset)
-        if subset in fam_keys and w > tolerance and dens <= 0.0:
-            report.support_mismatches.append(subset)
+    for offset, block in _blocks(g.num_edges, kernel.rank,
+                                 kernel.rank ** 2 * kernel.matrix.itemsize):
+        dens = dpp.density(kernel, block)
+        w = normalized[offset:offset + len(block)]
+        inside = member[offset:offset + len(block)]
+        report.max_density_error = max(report.max_density_error,
+                                       float(np.abs(dens - w).max(initial=0.0)))
+        flagged = np.where(inside, (w > tolerance) & (dens <= 0.0), dens > tolerance)
+        report.support_mismatches += map(tuple, block[flagged].tolist())
     report.runtime = time.monotonic() - start
     return report
+
+
+def _complement_monomial(x: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Product of x over the edges outside each row of subsets."""
+    outside = np.ones((len(subsets), len(x)), dtype=bool)
+    np.put_along_axis(outside, subsets, False, axis=1)
+    return np.where(outside, x, 1.0).prod(axis=1)
 
 
 def tree_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     """Defining sum of the tree polynomial."""
     x = g.weights if x is None else np.asarray(x)
-    return sum(float(np.prod(x[list(t.edge_set)])) for t in enumerate_family(g, "connected"))
+    return float(x[enumerate_family(g, "connected").subsets].prod(axis=1).sum())
 
 
 def psi1_sum(g: WeightedGraph, x: np.ndarray | None = None) -> float:
     x = g.weights if x is None else np.asarray(x)
-    return sum(float(np.prod(np.delete(x, list(t.edge_set))))
-               for t in enumerate_family(g, "connected"))
+    return float(_complement_monomial(x, enumerate_family(g, "connected").subsets).sum())
 
 
 def psi2_sum(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:
     """Defining sum of the second Symanzik polynomial over 2-forests."""
     x = np.asarray(x)
     q = np.asarray(q, dtype=complex)
-    total = 0.0
-    for f in enumerate_family(g, "forest", k=1):
-        labels = np.array(f.labels)
-        charge = complex(q[labels == 0].sum())
-        total += float(abs(charge) ** 2) * float(np.prod(np.delete(x, list(f.edge_set))))
-    return total
+    fam = enumerate_family(g, "forest", k=1)
+    charge = (fam.topology.labels == 0) @ q
+    return float((np.abs(charge) ** 2 * _complement_monomial(x, fam.subsets)).sum())
 
 
 def connected_poly_sum(g: WeightedGraph, x: np.ndarray | None,
@@ -148,9 +200,9 @@ def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSp
     """
     x = np.asarray(g.weights if x is None else x, dtype=float)
     unit = WeightedGraph(g.num_vertices, g.edges)
-    weight = measures.VARIANT_TABLE[spec.variant].weight
-    return sum(weight(unit, mask, spec) * float(np.prod(x[list(mask.edge_set)]))
-               for mask in enumerate_family(unit, spec.variant, k=spec.k))
+    fam = enumerate_family(unit, spec.variant, k=spec.k)
+    weights = measures.VARIANT_TABLE[spec.variant].weight(unit, fam.topology, spec)
+    return float((weights * x[fam.subsets].prod(axis=1)).sum())
 
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,

@@ -224,6 +224,15 @@ class TestVerify:
         assert run("verify", "--graph", str(g), "--measure", "ust",
                    "--tolerance", "-1", "-o", str(tmp_path / "r.json")) == 1
 
+    @pytest.mark.parametrize("tolerance", ["inf", "nan", "-inf"])
+    def test_non_finite_tolerance_refused(self, tolerance, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        run("gen-grid", "--rows", "2", "--cols", "2", "-o", str(g))
+        out = tmp_path / "r.json"
+        assert run("verify", "--graph", str(g), "--measure", "ust",
+                   f"--tolerance={tolerance}", "-o", str(out)) == 2
+        assert "--tolerance" in capsys.readouterr().err and not out.exists()
+
     def test_connected_measure_verifies(self, tmp_path):
         g = tmp_path / "g.json"
         run("gen-grid", "--rows", "2", "--cols", "3", "-o", str(g))

@@ -139,6 +139,27 @@ class TestDensity:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("complex_frame", [False, True])
+    def test_stacked_equals_one_at_a_time(self, complex_frame):
+        rng = np.random.default_rng(22)
+        cols = rng.standard_normal((9, 4))
+        if complex_frame:
+            cols = cols + 1j * rng.standard_normal((9, 4))
+        from detgraph.linalg import orthonormalize
+        k = dg.ProjectionKernel.from_frame(orthonormalize(cols))
+        subsets = np.array(list(itertools.combinations(range(9), 4)))
+        stacked = dg.density(k, subsets[:, ::-1])  # row order does not matter
+        assert stacked.shape == (len(subsets),)
+        one = [dg.density(k, tuple(s)) for s in subsets.tolist()]
+        assert np.abs(stacked - one).max() <= 1e-15
+
+    @pytest.mark.parametrize("rows", [[[0, 1]], [[0, 1, 1]], [[0, 1, 2], [2, 2, 0]]])
+    def test_stacked_needs_rank_distinct_indices(self, rows):
+        k = dg.build_kernel(dg.complete_graph(4), dg.MeasureSpec.ust())
+        with pytest.raises(ValueError, match="rank"):
+            dg.density(k, np.array(rows))
+
+
 class TestInclusion:
     def test_empty_subset(self, triangle_ust):
         assert dg.inclusion_probability(triangle_ust, ()) == 1.0

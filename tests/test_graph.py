@@ -292,6 +292,49 @@ class TestSubgraphMask:
         assert t1.indices == t2.indices == (0, 1, 2)
 
 
+class TestStackedTopology:
+    @staticmethod
+    def _assert_matches_masks(g, subsets):
+        t = dg.graph.subset_topology(g, subsets)
+        assert len(t) == len(subsets)
+        for row, subset in enumerate(subsets.tolist()):
+            mask = g.mask(subset)
+            assert tuple(t.labels[row].tolist()) == mask.labels
+            assert (t.b0[row], t.b1[row]) == (mask.b0, mask.b1)
+            assert t.component_b1[row].tolist() == [
+                *mask.component_b1, *[0] * (g.num_vertices - mask.b0)]
+            forest = dg.min_index_spanning_tree(g, within=mask).edge_set
+            assert t.forest[row].tolist() == [e in forest for e in subset]
+            basis = dg.cycle_space_basis(g, within=mask)
+            assert t.cycles.dtype == np.int8
+            assert t.cycles[row, :mask.b1].T.tolist() == basis.tolist()
+            assert not t.cycles[row, mask.b1:].any()
+
+    def test_every_subset_of_the_nine_edge_graph(self):
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)])
+        for size in range(10):
+            subsets = list(itertools.combinations(range(9), size))
+            self._assert_matches_masks(g, np.array(subsets, dtype=int).reshape(len(subsets), size))
+
+    def test_every_half_subset_of_a_sixteen_edge_multigraph(self):
+        # parallel edges both ways and a loop among the 16
+        base = random_connected_graph(np.random.default_rng(16), 13, min_b1=4)
+        t, h = base.edges[-1]
+        g = dg.WeightedGraph(base.num_vertices, [*base.edges, (h, t), (t, h), (2, 2)])
+        assert g.num_edges == 16
+        self._assert_matches_masks(g, np.array(list(itertools.combinations(range(16), 8))))
+
+    def test_one_row_of_a_mask(self, square_with_chord):
+        # the row a mask gives its weights equals its row of the stacked pass
+        g = square_with_chord
+        for subset in ([], [0, 2], [0, 1, 2, 3], [0, 1, 2, 3, 4]):
+            one, stacked = g.mask(subset).topology(), dg.graph.subset_topology(
+                g, np.array([subset], dtype=int).reshape(1, len(subset)))
+            for name in ("subsets", "labels", "b0", "b1", "component_b1", "forest"):
+                assert np.array_equal(getattr(one, name), getattr(stacked, name)), name
+            assert np.array_equal(one.cycles, stacked.cycles[:, :one.b1[0]])
+
+
 class TestEnumerationCapEnv:
     def test_env_var_overrides_default(self, monkeypatch):
         from detgraph.graph import enumeration_cap

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,29 +87,74 @@ class TestCompareMeasure:
         g = dg.WeightedGraph(base.num_vertices, base.edges, 1e-4 * base.weights)
         victim = oracle.enumerate_family(g, "connected", k=0)[0].indices
         density = dpp.density
-        monkeypatch.setattr(dpp, "density", lambda kernel, subset: (
-            0.0 if tuple(subset) == victim else density(kernel, subset)))
+
+        def zero_victim(kernel, subsets):
+            dens = density(kernel, subsets)
+            dens[(np.asarray(subsets) == victim).all(axis=1)] = 0.0
+            return dens
+        monkeypatch.setattr(dpp, "density", zero_victim)
         rep = oracle.compare_measure(g, dg.MeasureSpec.ust())
         assert victim in rep.support_mismatches
 
-    # union-find passes on the 9-edge graph of test_distribution.py: one per
-    # scanned subset of the sample size, made by its mask; the weights read
-    # their cycle bases and per-component cycle counts off that mask's forest
-    @pytest.mark.parametrize("variant, subsets, at_most", [
+    # rows of the stacked topology pass on the 9-edge graph of
+    # test_distribution.py: one per scanned subset of the sample size, each
+    # seen once; the weights read their cycles, cuts and per-component cycle
+    # counts off the members' rows
+    @pytest.mark.parametrize("variant, rows, distinct", [
         ("ust", 126, 126), ("forest", 126, 126), ("crsf", 84, 84), ("connected", 84, 84)])
-    def test_each_topology_computed_once(self, variant, subsets, at_most, monkeypatch):
+    def test_each_topology_computed_once(self, variant, rows, distinct, monkeypatch):
         weights = np.random.default_rng(3).uniform(0.5, 2.0, 9)
         g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)], weights)
         spec = measures.random_spec(g, variant, 1, 1, 11)
-        passes = []
+        seen = []
+        topology = dg.graph.subset_topology
 
-        class Counted(dg.graph._UnionFind):
-            def __init__(self, n):
-                passes.append(n)
-                super().__init__(n)
-        monkeypatch.setattr(dg.graph, "_UnionFind", Counted)
+        def counted(g, subsets):
+            seen.extend(map(tuple, np.asarray(subsets).tolist()))
+            return topology(g, subsets)
+        monkeypatch.setattr(dg.graph, "subset_topology", counted)
         assert oracle.compare_measure(g, spec).passed
-        assert subsets <= len(passes) <= at_most
+        assert (len(seen), len(set(seen))) == (rows, distinct)
+
+    def test_block_bound_changes_no_result(self, monkeypatch):
+        # one subset per block against one block per scan: the reports and
+        # the defining sums are equal to the last bit
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)],
+                             np.random.default_rng(4).uniform(0.5, 2.0, 9))
+        x = np.random.default_rng(5).uniform(0.1, 3.0, 9)
+        q = np.arange(6.0) - 2.5
+        theta, phi = measures.random_theta(g, 2, 6), measures.random_phi(g, 2, 7)
+
+        def results():
+            reports = [oracle.compare_measure(g, measures.random_spec(g, variant, 1, 0, 8))
+                       for variant in ("ust", "connected", "forest", "crsf")]
+            sums = [oracle.tree_sum(g, x), oracle.psi1_sum(g, x), oracle.psi2_sum(g, x, q),
+                    oracle.connected_poly_sum(g, x, theta), oracle.forest_poly_sum(g, x, phi)]
+            return [{**r.to_dict(), "runtime_seconds": None} for r in reports], sums
+        whole = results()
+        monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1)
+        assert results() == whole
+
+
+    def test_memory_at_the_enumeration_cap(self):
+        # 20 edges on 7 vertices, connected k = 2: C(20, 8) = 125970 subsets
+        # scanned twice (topology, minors) in blocks under the byte bound
+        rng = np.random.default_rng(2)
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, 7)]
+        while len(edges) < 20:
+            u, w = (int(a) for a in rng.integers(0, 7, 2))
+            if u != w:
+                edges.append((u, w))
+        g = dg.WeightedGraph(7, edges, rng.uniform(0.5, 2.0, 20))
+        spec = measures.random_spec(g, "connected", 2, 0, 1)
+        tracemalloc.start()
+        try:
+            rep = oracle.compare_measure(g, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed
+        assert peak <= 32 * 2 ** 20
 
 
 class TestComparePolynomial:
