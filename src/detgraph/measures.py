@@ -157,14 +157,20 @@ def _monomial(x: np.ndarray, t) -> np.ndarray:
 
 def _cycle_factor(t, theta: np.ndarray) -> np.ndarray:
     """|det(theta_i(gamma_j))|^2 over the cycles of a stack of b1 = k rows."""
+    cycles = t.cycles[:, :theta.shape[1]]
+    # narrower than k only when the stack is empty (k > b1 of the graph)
+    if cycles.shape[1] < theta.shape[1]:
+        return np.zeros(len(cycles))
     # (theta_i, gamma_j); einsum casts the int8 cycles a buffer at a time
-    pairing = np.einsum("ei,nje->nij", theta, t.cycles[:, :theta.shape[1]])
+    pairing = np.einsum("ei,nje->nij", theta, cycles)
     return np.abs(np.linalg.det(pairing)) ** 2
 
 
 def _cut_factor(g: WeightedGraph, t, phi: np.ndarray) -> np.ndarray:
-    """|det((phi_i, kappa_j))|^2 over the cuts of a stack of b0 = k + 1 rows."""
-    return np.abs(np.linalg.det(phi.T @ component_cuts(g, t, phi.shape[1]))) ** 2
+    """|det((phi_i, kappa_j))|^2 over the cuts of a stack of b0 = k + 1 rows,
+    kappa_j separating component j: every component but the last."""
+    inside = t.labels[..., None] == np.arange(phi.shape[1])
+    return np.abs(np.linalg.det(phi.T @ (g.coboundary @ inside.astype(int)))) ** 2
 
 
 def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
@@ -202,14 +208,9 @@ def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> Sub
     return _one_row(g, mask, lambda t: _cycle_factor(t, theta))
 
 
-def component_cuts(g: WeightedGraph, t, count: int | None = None) -> np.ndarray:
-    """Cut cochains separating each of the first `count` components, as columns.
-
-    By default every component of a mask except the last: (|E|, b0 - 1).  On
-    a SubsetTopology stack, (N, |E|, count).
-    """
-    count = t.b0 - 1 if count is None else count
-    inside = np.asarray(t.labels)[..., None] == np.arange(count)
+def component_cuts(g: WeightedGraph, mask: SubgraphMask) -> np.ndarray:
+    """Cut cochains separating each component of the mask except the last."""
+    inside = np.array(mask.labels)[:, None] == np.arange(mask.b0 - 1)
     return g.coboundary @ inside.astype(int)
 
 

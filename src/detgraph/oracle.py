@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import dpp, graph as graph_mod, matroid as matroid_mod, measures, polynomials
+from .errors import NumericDegeneracy
 from .graph import WeightedGraph, check_enumeration_cap
 
 DENSITY_TOL = 1e-9
@@ -127,7 +128,8 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
 
     Also scans every subset of the sample cardinality for support mismatches:
     positive density outside the family, or positive weight with zero density.
-    The densities come from dpp.density one block of subsets at a time.
+    The densities come from dpp.density one block of subsets at a time; the
+    arrays that span the scan are the family's, one row per member.
     """
     start = time.monotonic()
     check_enumeration_cap(g.num_edges)
@@ -137,19 +139,27 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
         raise ValueError(f"{spec.variant} weights have no closed-form evaluator")
     fam = enumerate_family(g, variant.family, k=spec.k, l=spec.l)
     weights = variant.weight(g, fam.topology, spec)
-    normalized = np.zeros(math.comb(g.num_edges, kernel.rank))
-    normalized[fam.positions] = weights / weights.sum()
-    member = np.zeros(len(normalized), dtype=bool)
-    member[fam.positions] = True
+    total = weights.sum()
+    # an underflowed or overflowed total would normalize to nan, which no
+    # comparison flags
+    if not 0.0 < total < math.inf:
+        raise NumericDegeneracy(f"{spec.variant} weights sum to {total} at these weights")
+    normalized = weights / total
     report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
                           density_tol=tolerance)
     for offset, block in _blocks(g.num_edges, kernel.rank,
                                  kernel.rank ** 2 * kernel.matrix.itemsize):
         dens = dpp.density(kernel, block)
-        w = normalized[offset:offset + len(block)]
-        inside = member[offset:offset + len(block)]
-        report.max_density_error = max(report.max_density_error,
-                                       float(np.abs(dens - w).max(initial=0.0)))
+        # the members in this block, by their positions in the scan
+        lo, hi = np.searchsorted(fam.positions, [offset, offset + len(block)])
+        rows = fam.positions[lo:hi] - offset
+        w = np.zeros(len(block))
+        w[rows] = normalized[lo:hi]
+        inside = np.zeros(len(block), dtype=bool)
+        inside[rows] = True
+        # np.maximum keeps a nan error, which then fails the report
+        report.max_density_error = float(np.maximum(
+            report.max_density_error, np.abs(dens - w).max(initial=0.0)))
         flagged = np.where(inside, (w > tolerance) & (dens <= 0.0), dens > tolerance)
         report.support_mismatches += map(tuple, block[flagged].tolist())
     report.runtime = time.monotonic() - start

@@ -233,6 +233,14 @@ class TestVerify:
                    f"--tolerance={tolerance}", "-o", str(out)) == 2
         assert "--tolerance" in capsys.readouterr().err and not out.exists()
 
+    def test_weights_that_underflow_exit_three(self, tmp_path, capsys):
+        # every tree monomial is 1e-330, which is 0: nothing can be compared
+        g = tmp_path / "g.json"
+        run("gen-grid", "--rows", "2", "--cols", "2", "--weight", "1e-110", "-o", str(g))
+        out = tmp_path / "r.json"
+        assert run("verify", "--graph", str(g), "--measure", "ust", "-o", str(out)) == 3
+        assert "sum to 0.0" in capsys.readouterr().err and not out.exists()
+
     def test_connected_measure_verifies(self, tmp_path):
         g = tmp_path / "g.json"
         run("gen-grid", "--rows", "2", "--cols", "3", "-o", str(g))

@@ -6,7 +6,7 @@ import pytest
 
 import detgraph as dg
 from detgraph import dpp, measures, oracle
-from detgraph.errors import EnumerationCapExceeded
+from detgraph.errors import EnumerationCapExceeded, NumericDegeneracy
 
 from conftest import random_connected_graph
 
@@ -135,6 +135,25 @@ class TestCompareMeasure:
         monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1)
         assert results() == whole
 
+    @pytest.mark.parametrize("weight", [1e-110, 1e110])
+    def test_weights_out_of_range_refused(self, weight):
+        # uniform weights leave the kernel as it is, but the 3-edge tree
+        # monomials are 1e-330 (0) or 1e330 (inf), so their normalized
+        # weights would be nan and no comparison could flag them
+        g = dg.grid_graph(2, 2, weight)
+        with np.errstate(over="ignore"), pytest.raises(NumericDegeneracy):
+            oracle.compare_measure(g, dg.MeasureSpec.ust())
+
+    def test_nan_density_fails(self, triangle, monkeypatch):
+        density = dpp.density
+
+        def nan_first(kernel, subsets):
+            dens = density(kernel, subsets)
+            dens[0] = np.nan
+            return dens
+        monkeypatch.setattr(dpp, "density", nan_first)
+        rep = oracle.compare_measure(triangle, dg.MeasureSpec.ust())
+        assert np.isnan(rep.max_density_error) and not rep.passed
 
     def test_memory_at_the_enumeration_cap(self):
         # 20 edges on 7 vertices, connected k = 2: C(20, 8) = 125970 subsets
@@ -169,6 +188,16 @@ class TestComparePolynomial:
                           ("C", {"theta": theta}), ("A", {"phi": phi})]:
             rep = oracle.compare_polynomial(g, which, **kw)
             assert rep.max_poly_rel_error < 1e-9, which
+
+    def test_connected_sum_vanishes_above_the_cycle_rank(self, square_with_chord):
+        # k = b1 + 1: no spanning subgraph is connected with k independent
+        # cycles, so the defining sum is empty
+        g = square_with_chord
+        theta = measures.random_theta(g, 3, 1)
+        assert oracle.connected_poly_sum(g, None, theta) == 0.0
+        assert oracle.compare_polynomial(g, "C", theta=theta).passed
+        assert oracle.connected_poly_sum(dg.WeightedGraph(1, []), None,
+                                         np.zeros((0, 1))) == 0.0
 
     def test_runtime_bound_at_sixteen_edges(self):
         # a single 16-edge oracle instance stays well under the bound
