@@ -57,6 +57,8 @@ def _cmd_gen_grid(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise MalformedInput("--count needs a nonnegative value")
     g = _read_graph(args.graph)
     spec = _spec_from_args(g, args)
     kernel = measures.build_kernel(g, spec)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -38,6 +39,26 @@ def check_enumeration_cap(size: int, what: str = "edges") -> None:
     cap = enumeration_cap()
     if size > cap:
         raise EnumerationCapExceeded(f"{size} {what} exceeds enumeration cap {cap}")
+
+
+# bound on the bytes of the largest per-block array of a stacked scan: the
+# root-chain table of the topology pass, or the matrices of one stacked minor
+_BLOCK_BYTES = 1 << 20
+
+
+def subset_blocks(num_items: int, size: int, row_bytes: int):
+    """The size-subsets of range(num_items) in lexicographic order, in (N, size)
+    blocks of at most _BLOCK_BYTES // row_bytes rows: the one scan of every
+    exhaustive check, of edges or matroid elements.  At least one, maybe empty."""
+    per = max(1, _BLOCK_BYTES // max(row_bytes, 1))
+    if not 0 <= size <= num_items:
+        yield np.zeros((0, 0), dtype=np.intp)
+        return
+    total = math.comb(num_items, size)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(num_items), size))
+    for offset in range(0, total, per):
+        rows = min(per, total - offset)
+        yield np.fromiter(flat, dtype=np.intp, count=rows * size).reshape(rows, size)
 
 
 class _UnionFind:
@@ -139,14 +160,9 @@ class WeightedGraph:
         return self.mask(range(self.num_edges))
 
     def to_json(self) -> str:
-        payload = {
-            "num_vertices": self.num_vertices,
-            "edges": [
-                {"tail": t, "head": h, "weight": float(w)}
-                for (t, h), w in zip(self.edges, self.weights)
-            ],
-        }
-        return json.dumps(payload)
+        return json.dumps({"num_vertices": self.num_vertices, "edges": [
+            {"tail": t, "head": h, "weight": float(w)}
+            for (t, h), w in zip(self.edges, self.weights)]})
 
     @staticmethod
     def from_json(text: str) -> "WeightedGraph":
@@ -481,31 +497,17 @@ def quotient_by_forest(g: WeightedGraph, forest: SubgraphMask) -> tuple[Weighted
     if forest.b1 != 0:
         raise ForestHasCycle("cannot contract a subgraph containing a cycle")
     labels = forest.labels
-    kept: list[int] = []
-    edges = []
-    weights = []
-    for i, (t, h) in enumerate(g.edges):
-        if labels[t] != labels[h]:
-            kept.append(i)
-            edges.append((labels[t], labels[h]))
-            weights.append(g.weights[i])
-    q = WeightedGraph(forest.b0, edges, weights)
-    return q, kept
+    kept = [i for i, (t, h) in enumerate(g.edges) if labels[t] != labels[h]]
+    edges = [(labels[g.edges[i][0]], labels[g.edges[i][1]]) for i in kept]
+    return WeightedGraph(forest.b0, edges, g.weights[kept]), kept
 
 
 def grid_graph(rows: int, cols: int, weight: float = 1.0) -> WeightedGraph:
     """Rows x cols grid: row-major vertex ids, horizontal edges first, tail = smaller id."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    edges = []
-    for r in range(rows):
-        for c in range(cols - 1):
-            v = r * cols + c
-            edges.append((v, v + 1))
-    for r in range(rows - 1):
-        for c in range(cols):
-            v = r * cols + c
-            edges.append((v, v + cols))
+    edges = [(v, v + 1) for v in range(rows * cols) if v % cols < cols - 1]
+    edges += [(v, v + cols) for v in range(rows * cols - cols)]
     return WeightedGraph(rows * cols, edges, [weight] * len(edges))
 
 

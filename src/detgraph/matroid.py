@@ -22,7 +22,7 @@ import numpy as np
 
 from .dpp import ProjectionKernel
 from .errors import DegenerateForms, ImpossibleCondition, MalformedInput, RankDeficient
-from .graph import check_enumeration_cap
+from .graph import check_enumeration_cap, subset_blocks
 from .linalg import RANK_RTOL, extend_frame, gram_det, to_omega, weighted_frame
 
 CONDITION_WARN = 1e-8
@@ -48,7 +48,7 @@ class LinearMatroid:
             raise ValueError("need one finite positive weight per ground element")
         # the one SVD of R; numpy 1.24 has none for an empty matrix
         _, s, vh = np.linalg.svd(m) if min(m.shape) else (None, np.zeros(0), np.zeros((0, d)))
-        rank = _rank_of(s)
+        rank = int(_rank_of(s))
         z = vh[rank:, :].conj().T if rank else np.eye(d, dtype=complex)
         image = vh[:rank, :].T * s[:rank]
         for a in (m, w, z, image):
@@ -65,20 +65,19 @@ class LinearMatroid:
         return self.kernel_basis.shape[1]
 
     def is_basis(self, subset) -> bool:
-        subset = sorted(subset)
         return len(subset) == self.rank and self.is_independent(subset)
 
     def is_independent(self, subset) -> bool:
         subset = sorted(subset)
-        return _rank_of(_singular_values(self.matrix[:, subset])) == len(subset)
+        return bool(_rank_of(_singular_values(self.image[subset])) == len(subset))
 
     @cached_property
     def bases(self) -> tuple[tuple[int, ...], ...]:
-        scan = self._spanning_subsets(0)
-        ill = next((t for t, s in scan if s.size and s[-1] < CONDITION_WARN * s[0]), None)
-        if ill is not None:
-            warnings.warn(f"basis {ill} is numerically ill conditioned", RuntimeWarning)
-        return tuple(t for t, _ in scan)
+        bases, s = self._spanning_subsets(0)
+        ill = bases[(s[:, -1:] < CONDITION_WARN * s[:, :1]).any(axis=1)].tolist()
+        if ill:
+            warnings.warn(f"basis {tuple(ill[0])} is numerically ill conditioned", RuntimeWarning)
+        return tuple(map(tuple, bases.tolist()))
 
     @cached_property
     def _basis_lookup(self) -> frozenset[tuple[int, ...]]:
@@ -86,14 +85,20 @@ class LinearMatroid:
 
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
-        return [t for t, _ in self._spanning_subsets(k)]
+        return list(map(tuple, self._spanning_subsets(k)[0].tolist()))
 
-    def _spanning_subsets(self, k: int) -> list[tuple[tuple[int, ...], np.ndarray]]:
-        """Each (rank+k)-subset whose columns span the image, with their singular values."""
+    def _spanning_subsets(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (rank+k)-subsets whose rows of `image` have full rank, in
+        lexicographic order, and their singular values: one stacked SVD of
+        image[block] per block of subsets."""
         check_enumeration_cap(self.ground_size, what="elements")
-        scan = ((t, _singular_values(self.matrix[:, list(t)]))
-                for t in itertools.combinations(range(self.ground_size), self.rank + k))
-        return [(t, s) for t, s in scan if _rank_of(s) == self.rank]
+        size = self.rank + k
+        scan = []
+        for block in subset_blocks(self.ground_size, size, size * self.rank * self.image.itemsize):
+            s = _singular_values(self.image[block])
+            keep = _rank_of(s) == self.rank
+            scan.append((block[keep], s[keep]))
+        return tuple(np.concatenate(a) for a in zip(*scan))
 
     def fundamental_circuit_vector(self, basis: tuple[int, ...], j: int) -> np.ndarray:
         """Kernel vector with coefficient 1 on j and support inside basis + {j}."""
@@ -118,14 +123,20 @@ class LinearMatroid:
         return np.column_stack([self.fundamental_circuit_vector(basis, j) for j in rest])
 
 
-def _singular_values(cols: np.ndarray) -> np.ndarray:
-    # numpy 1.24 has no SVD of an empty matrix
-    return np.linalg.svd(cols, compute_uv=False) if cols.size else np.zeros(0)
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    # descending, per matrix of a stack; numpy 1.24 has no SVD of an empty matrix
+    return (np.linalg.svd(a, compute_uv=False) if a.size
+            else np.zeros((*a.shape[:-2], min(a.shape[-2:]))))
 
 
-def _rank_of(s: np.ndarray) -> int:
-    """Singular values above RANK_RTOL times the largest one."""
-    return int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
+def _rank_of(s: np.ndarray) -> np.ndarray:
+    """Singular values above RANK_RTOL times the largest one, per matrix of a stack."""
+    return (s > RANK_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)).sum(axis=-1)
+
+
+def _abs_det2(a: np.ndarray) -> np.ndarray:
+    """|det|^2 of a square matrix or of each matrix of a stack; 1 for 0 x 0."""
+    return np.abs(np.linalg.det(a)) ** 2 if a.shape[-1] else np.ones(a.shape[:-2])
 
 
 def from_matrix(matrix: np.ndarray, weights: np.ndarray | None = None) -> LinearMatroid:
@@ -164,20 +175,18 @@ def minor_on_complement(z: np.ndarray, basis, within) -> complex:
     return complex(np.linalg.det(z[rows, :])) if rows else 1.0 + 0j
 
 
-def basis_weight(m: LinearMatroid, subset) -> float:
-    """Principal minor of the squared representing operator on the subset.
+def basis_weight(m: LinearMatroid, subsets) -> float | np.ndarray:
+    """x^T |det image[T]|^2 of a rank-subset T: the principal minor on T of the
+    squared representing operator R^T conj(R) X, as R^T conj(R) = image image^H.
 
-    Positive exactly on bases; always a scalar multiple of the weight
-    monomial x^T.
+    Positive exactly on bases.  An (N, rank) array of subsets, one per row,
+    gives the N weights as an array, as dpp.density does.
     """
-    subset = tuple(sorted(subset))
-    if len(subset) != m.rank:
+    idx = np.asarray(subsets if np.ndim(subsets) == 2 else sorted(subsets), dtype=np.intp)
+    if idx.shape[-1] != m.rank:
         raise ValueError(f"weight needs subsets of size rank={m.rank}")
-    dd = m.matrix.T @ np.conj(m.matrix) * m.weights[None, :]
-    idx = list(subset)
-    minor = dd[np.ix_(idx, idx)]
-    val = float(np.linalg.det(minor).real) if idx else 1.0
-    return max(val, 0.0)
+    w = m.weights[idx].prod(axis=-1) * _abs_det2(m.image[idx])
+    return w if idx.ndim == 2 else float(w)
 
 
 def density_via_circuits(m: LinearMatroid, basis) -> float:
@@ -188,11 +197,20 @@ def density_via_circuits(m: LinearMatroid, basis) -> float:
     return circuit_density(m, basis)
 
 
-def circuit_density(m: LinearMatroid, basis, z: np.ndarray | None = None) -> float:
-    """|det(z/Z_T)|^2 x^T for a basis T that is not checked; z defaults to Z."""
+def circuit_density(m: LinearMatroid, basis,
+                    z: np.ndarray | None = None) -> float | np.ndarray:
+    """x^T |det z[T^c]|^2 = |det(z/Z_T)|^2 x^T for a basis T that is not checked,
+    or for each row of an (N, rank) array of them; z defaults to Z."""
     z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
-    det = minor_on_complement(z, basis, range(m.ground_size))
-    return float(abs(det) ** 2) * float(np.prod(m.weights[list(basis)]))
+    idx = np.asarray(basis if np.ndim(basis) == 2 else sorted(basis), dtype=np.intp)
+    if m.ground_size - idx.shape[-1] != z.shape[1]:
+        raise ValueError("complement size must equal the family size")
+    rows = np.atleast_2d(idx)
+    # each complement in ascending order: the elements outside sort first, stably
+    inside = (rows[:, :, None] == np.arange(m.ground_size)).any(axis=1)
+    comp = np.argsort(inside, axis=1, kind="stable")[:, :z.shape[1]]
+    dens = m.weights[rows].prod(axis=-1) * _abs_det2(z[comp])
+    return dens if idx.ndim == 2 else float(dens[0])
 
 
 def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
@@ -356,16 +374,12 @@ def circuit_basis_identity_check(m: LinearMatroid,
     """
     z = m.kernel_basis if z_columns is None else np.asarray(z_columns, dtype=complex)
     b = z.shape[1]
-    worst = 0.0
-    checked = 0
-    basis_set = m._basis_lookup
+    worst, checked = 0.0, 0
     for rows in itertools.combinations(range(m.ground_size), b):
         coeff = complex(np.linalg.det(z[list(rows), :])) if b else 1.0 + 0j
         complement = tuple(i for i in range(m.ground_size) if i not in set(rows))
-        if complement in basis_set:
-            expected = change_of_basis_det(m, z, complement)
-        else:
-            expected = 0.0 + 0j
+        expected = (change_of_basis_det(m, z, complement) if complement in m._basis_lookup
+                    else 0.0 + 0j)
         worst = max(worst, abs(coeff - expected))
         checked += 1
     return IdentityReport(worst, checked)

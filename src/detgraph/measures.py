@@ -283,7 +283,6 @@ class Variant:
     # the support, at the graph's weights, if closed form
     weight: Callable[..., np.ndarray] | None
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
-    family: str                                   # oracle family enumerating the support
     dual: str | None = None                       # variant under planar duality
 
 
@@ -293,20 +292,20 @@ VARIANT_TABLE: dict[str, Variant] = {
         frame=lambda g, x, spec: _frame_exact_forms(g, x),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == 0),
         weight=lambda g, t, spec: _monomial(g.weights, t),
-        forms={}, family="connected", dual="ust"),
+        forms={}, dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
         frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x, spec.theta),
                                               to_omega(x, spec.theta)),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == k),
         weight=lambda g, t, spec: _monomial(g.weights, t) * _cycle_factor(t, spec.theta),
-        forms={"theta": "k"}, family="connected", dual="forest"),
+        forms={"theta": "k"}, dual="forest"),
     "forest": Variant(
         size=lambda n, k, l: n - 1 - k,
         frame=lambda g, x, spec: _forest_core_frame(g, x, spec.phi),
         support=lambda t, k, l: (t.b0 == k + 1) & (t.b1 == 0),
         weight=lambda g, t, spec: _monomial(g.weights, t) * _cut_factor(g, t, spec.phi),
-        forms={"phi": "k"}, family="forest", dual="connected"),
+        forms={"phi": "k"}, dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
         frame=lambda g, x, spec: orthonormalize(
@@ -315,7 +314,7 @@ VARIANT_TABLE: dict[str, Variant] = {
         support=lambda t, k, l: (t.b1 == t.b0) & (np.max(t.component_b1, axis=-1) <= 1),
         weight=lambda g, t, spec: (_monomial(g.weights, t)
                                    * _holonomy_factor(t, spec.connection)),
-        forms={"connection": None}, family="crsf"),
+        forms={"connection": None}),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
         frame=lambda g, x, spec: extend_frame(
@@ -323,7 +322,7 @@ VARIANT_TABLE: dict[str, Variant] = {
         support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
                                  & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
         weight=None,
-        forms={"phi": "k", "theta": "l"}, family="mixed"),
+        forms={"phi": "k", "theta": "l"}),
 }
 VARIANTS = tuple(VARIANT_TABLE)
 

@@ -2,14 +2,14 @@
 
 Every determinant formula in the library has a defining sum over subgraphs
 or matroid bases; this module evaluates those sums directly and reports
-discrepancies against the fast routes.  Subsets are scanned in blocks: one
-integer topology pass per block decides family membership (no floating point
-there), and the weights and minors of a block are one stacked evaluation each.
+discrepancies against the fast routes.  Each check scans its subsets once, in
+the blocks of graph.subset_blocks: one integer topology pass per block decides
+family membership (no floating point there), and the weights and minors of a
+block are one stacked evaluation each.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from collections.abc import Sequence
@@ -53,49 +53,39 @@ class OracleReport:
         }
 
 
-# bound on the bytes of the largest per-block array of a stacked scan: the
-# root-chain table of the topology pass, or the minors of one density stack
-_BLOCK_BYTES = 1 << 20
-
-
-def _blocks(num_edges: int, size: int, row_bytes: int):
-    """The size-subsets of range(num_edges) in lexicographic order, as
-    (offset, rows) pairs: rows an array of at most _BLOCK_BYTES // row_bytes
-    subsets, offset the position of its first row.  At least one, maybe empty."""
-    per = max(1, _BLOCK_BYTES // max(row_bytes, 1))
-    if not 0 <= size <= num_edges:
-        yield 0, np.zeros((0, 0), dtype=np.intp)
-        return
-    total = math.comb(num_edges, size)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(num_edges), size))
-    for offset in range(0, total, per):
-        rows = min(per, total - offset)
-        yield offset, np.fromiter(flat, dtype=np.intp, count=rows * size).reshape(rows, size)
-
-
 @dataclass(frozen=True, eq=False)
 class Family(Sequence):
     """Members of a subgraph family: a SubgraphMask per index, arrays in bulk.
 
-    topology is the SubsetTopology stack of the members; positions[i] is the
-    position of member i among all subsets of its size in lexicographic order.
+    topology is the SubsetTopology stack of the members, in lexicographic order.
     """
 
     graph: WeightedGraph
     topology: graph_mod.SubsetTopology
-    positions: np.ndarray
 
     @property
     def subsets(self) -> np.ndarray:
         return self.topology.subsets
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.topology)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         return self.graph.mask(self.subsets[i])
+
+
+def _scan(g: WeightedGraph, variant: measures.Variant, k: int, l: int, row_bytes: int = 0):
+    """(block, topology, in_support) per block of the subsets of the sample
+    size: one integer topology pass and the support law on its integers.
+    row_bytes bounds the blocks for the caller's per-row arrays too."""
+    size = variant.size(g.num_vertices, k, l)
+    # the root-chain table and the cycles of the topology pass, per row
+    row_bytes = max(row_bytes, (g.num_vertices + max(size, 0)) * g.num_edges)
+    for block in graph_mod.subset_blocks(g.num_edges, size, row_bytes):
+        topology = graph_mod.subset_topology(g, block)
+        yield block, topology, variant.support(topology, k, l)
 
 
 def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0) -> Family:
@@ -104,32 +94,21 @@ def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0) -> F
     family is a variant name of measures.VARIANT_TABLE: "connected" (b1 = k,
     connected spanning; "ust" is its k = 0 case), "forest" (acyclic, k+1
     components), "crsf" (every component unicyclic), or "mixed" (Euler
-    characteristic k-l+1 with the b1 window).  The subsets of the family's
-    size are scanned in blocks; each block takes one integer topology pass,
-    graph.subset_topology, and the support law keeps its members.
+    characteristic k-l+1 with the b1 window).
     """
     check_enumeration_cap(g.num_edges)
-    variant = measures.variant_of(family)
-    size = variant.size(g.num_vertices, k, l)
-    members, positions = [], []
-    # the root-chain table and the cycles of the topology pass, per row
-    row_bytes = (g.num_vertices + max(size, 0)) * g.num_edges
-    for offset, block in _blocks(g.num_edges, size, row_bytes):
-        topology = graph_mod.subset_topology(g, block)
-        keep = variant.support(topology, k, l)
-        members.append(topology.take(keep))
-        positions.append(offset + np.flatnonzero(keep))
-    return Family(g, graph_mod.SubsetTopology.concatenate(members), np.concatenate(positions))
+    members = [t.take(keep) for _, t, keep in _scan(g, measures.variant_of(family), k, l)]
+    return Family(g, graph_mod.SubsetTopology.concatenate(members))
 
 
 def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
                     tolerance: float = DENSITY_TOL) -> OracleReport:
     """Normalized combinatorial weights against kernel densities, per element.
 
-    Also scans every subset of the sample cardinality for support mismatches:
-    positive density outside the family, or positive weight with zero density.
-    The densities come from dpp.density one block of subsets at a time; the
-    arrays that span the scan are the family's, one row per member.
+    One scan of the subsets of the sample size under the spec's support law,
+    one stacked dpp.density per block.  Positive density outside the support
+    is flagged as the scan meets it; the members' weights and densities, one
+    row per member, are compared, and zero density flagged, after the scan.
     """
     start = time.monotonic()
     check_enumeration_cap(g.num_edges)
@@ -137,31 +116,30 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
     variant = measures.VARIANT_TABLE[spec.variant]
     if variant.weight is None:
         raise ValueError(f"{spec.variant} weights have no closed-form evaluator")
-    fam = enumerate_family(g, variant.family, k=spec.k, l=spec.l)
-    weights = variant.weight(g, fam.topology, spec)
+    report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
+                          density_tol=tolerance)
+    members = []
+    for block, topology, member in _scan(g, variant, spec.k, spec.l,
+                                         kernel.rank ** 2 * kernel.matrix.itemsize):
+        d = dpp.density(kernel, block)
+        outside = np.abs(d[~member]).max(initial=0.0)
+        # np.maximum keeps a nan error, which then fails the report
+        report.max_density_error = float(np.maximum(report.max_density_error, outside))
+        report.support_mismatches += map(tuple, block[~member & (d > tolerance)].tolist())
+        members.append((block[member], variant.weight(g, topology.take(member), spec),
+                        d[member]))
+    subsets, weights, dens = (np.concatenate(a) for a in zip(*members))
     total = weights.sum()
     # an underflowed or overflowed total would normalize to nan, which no
     # comparison flags
     if not 0.0 < total < math.inf:
         raise NumericDegeneracy(f"{spec.variant} weights sum to {total} at these weights")
     normalized = weights / total
-    report = OracleReport(instance=f"{spec.variant} on {g.num_edges} edges",
-                          density_tol=tolerance)
-    for offset, block in _blocks(g.num_edges, kernel.rank,
-                                 kernel.rank ** 2 * kernel.matrix.itemsize):
-        dens = dpp.density(kernel, block)
-        # the members in this block, by their positions in the scan
-        lo, hi = np.searchsorted(fam.positions, [offset, offset + len(block)])
-        rows = fam.positions[lo:hi] - offset
-        w = np.zeros(len(block))
-        w[rows] = normalized[lo:hi]
-        inside = np.zeros(len(block), dtype=bool)
-        inside[rows] = True
-        # np.maximum keeps a nan error, which then fails the report
-        report.max_density_error = float(np.maximum(
-            report.max_density_error, np.abs(dens - w).max(initial=0.0)))
-        flagged = np.where(inside, (w > tolerance) & (dens <= 0.0), dens > tolerance)
-        report.support_mismatches += map(tuple, block[flagged].tolist())
+    report.max_density_error = float(np.maximum(
+        report.max_density_error, np.abs(dens - normalized).max(initial=0.0)))
+    missed = subsets[(normalized > tolerance) & (dens <= 0.0)]
+    # both kinds back in the lexicographic order of the scan
+    report.support_mismatches = sorted([*report.support_mismatches, *map(tuple, missed.tolist())])
     report.runtime = time.monotonic() - start
     return report
 
@@ -217,13 +195,14 @@ def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSp
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,
                        z_columns: np.ndarray | None = None) -> dict[str, float]:
-    """Defining sums of the matroid partition functions B and K."""
-    b_total = 0.0
-    k_total = 0.0
-    for t in m.bases:
-        b_total += matroid_mod.basis_weight(m, t)
-        k_total += matroid_mod.circuit_density(m, t, z_columns)
-    return {"B": b_total, "K": k_total}
+    """Defining sums of the matroid partition functions B and K, stacked over
+    blocks of bases whose d x d minors stay under graph._BLOCK_BYTES."""
+    bases = np.array(m.bases, dtype=np.intp).reshape(len(m.bases), m.rank)
+    per = max(1, graph_mod._BLOCK_BYTES // (m.ground_size ** 2 * 16))
+    blocks = [bases[i:i + per] for i in range(0, len(bases), per)]
+    return {"B": float(np.concatenate([matroid_mod.basis_weight(m, t) for t in blocks]).sum()),
+            "K": float(np.concatenate([matroid_mod.circuit_density(m, t, z_columns)
+                                       for t in blocks]).sum())}
 
 
 def matroid_L_sum(m: matroid_mod.LinearMatroid, theta: np.ndarray,

@@ -87,8 +87,10 @@ def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> co
     weights are admitted."""
     x = g.weights if x is None else np.asarray(x)
     phi = np.column_stack([phi])
-    d = g.coboundary[:, 1:].astype(np.result_type(x, phi, float))
     k = phi.shape[1]
+    if k > g.num_vertices - 1:  # more chains than cut vectors: exactly 0, as is the sum
+        return 0j
+    d = g.coboundary[:, 1:].astype(np.result_type(x, phi, float))
     bordered = np.block([[(d.T * x) @ d, d.T @ phi.conj()],
                          [phi.T @ d, np.zeros((k, k))]])
     return _realify((-1) ** k * np.linalg.det(bordered) if bordered.size else 1.0)

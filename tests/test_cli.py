@@ -292,7 +292,7 @@ RENDER_PAYLOADS = {
 
 
 @pytest.mark.parametrize("case", ["render-index", "graph-without-edges", "forms-not-pairs",
-                                  *RENDER_PAYLOADS])
+                                  "negative-count", *RENDER_PAYLOADS])
 def test_malformed_input_exits_2_without_traceback(case, grid_file, tmp_path, capsys):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps(RENDER_PAYLOADS.get(
@@ -307,6 +307,8 @@ def test_malformed_input_exits_2_without_traceback(case, grid_file, tmp_path, ca
         "graph-without-edges": ("sample", "--graph", str(bad_graph), "--measure", "ust"),
         "forms-not-pairs": ("sample", "--graph", str(grid_file), "--measure", "connected",
                             "--k", "1", "--forms", str(forms)),
+        "negative-count": ("sample", "--graph", str(grid_file), "--measure", "ust",
+                           "--count", "-2"),
     }.get(case, render)
     assert run(*argv, "-o", str(tmp_path / "out")) == 2
     assert "Traceback" not in capsys.readouterr().err

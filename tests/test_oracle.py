@@ -1,3 +1,4 @@
+import itertools
 import time
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import detgraph as dg
-from detgraph import dpp, measures, oracle
+from detgraph import dpp, matroid as mm, measures, oracle
 from detgraph.errors import EnumerationCapExceeded, NumericDegeneracy
 
 from conftest import random_connected_graph
@@ -96,6 +97,26 @@ class TestCompareMeasure:
         rep = oracle.compare_measure(g, dg.MeasureSpec.ust())
         assert victim in rep.support_mismatches
 
+    def test_mismatches_in_scan_order(self, square_with_chord, monkeypatch):
+        # the scan flags density outside the support as it meets it, and zero
+        # density on a member only once the weights are normalized, after the
+        # scan; the report lists both kinds in the lexicographic scan order
+        g = square_with_chord
+        trees = [t.indices for t in oracle.enumerate_family(g, "ust")]
+        zeroed = [trees[0], trees[-1]]
+        raised = [s for s in itertools.combinations(range(g.num_edges), 3) if s not in trees]
+        assert zeroed[0] < raised[0] < zeroed[1] < raised[1]  # the two kinds interleave
+        density = dpp.density
+
+        def perturbed(kernel, subsets):
+            dens = density(kernel, subsets)
+            for i, row in enumerate(map(tuple, np.asarray(subsets).tolist())):
+                dens[i] = 0.0 if row in zeroed else 0.5 if row in raised else dens[i]
+            return dens
+        monkeypatch.setattr(dpp, "density", perturbed)
+        rep = oracle.compare_measure(g, dg.MeasureSpec.ust())
+        assert rep.support_mismatches == [zeroed[0], raised[0], zeroed[1], raised[1]]
+
     # rows of the stacked topology pass on the 9-edge graph of
     # test_distribution.py: one per scanned subset of the sample size, each
     # seen once; the weights read their cycles, cuts and per-component cycle
@@ -117,22 +138,32 @@ class TestCompareMeasure:
         assert (len(seen), len(set(seen))) == (rows, distinct)
 
     def test_block_bound_changes_no_result(self, monkeypatch):
-        # one subset per block against one block per scan: the reports and
-        # the defining sums are equal to the last bit
+        # one subset per block against one block per scan: the reports, the
+        # defining sums, and the bases and basis sums of a real and a complex
+        # matroid are equal to the last bit
         g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)],
                              np.random.default_rng(4).uniform(0.5, 2.0, 9))
         x = np.random.default_rng(5).uniform(0.1, 3.0, 9)
         q = np.arange(6.0) - 2.5
         theta, phi = measures.random_theta(g, 2, 6), measures.random_phi(g, 2, 7)
+        rng = np.random.default_rng(9)
+        real = rng.standard_normal((4, 9))
+        matrices = (real, real + 1j * rng.standard_normal((4, 9)))
+        weights = rng.uniform(0.5, 2.0, 9)
 
         def results():
             reports = [oracle.compare_measure(g, measures.random_spec(g, variant, 1, 0, 8))
                        for variant in ("ust", "connected", "forest", "crsf")]
             sums = [oracle.tree_sum(g, x), oracle.psi1_sum(g, x), oracle.psi2_sum(g, x, q),
                     oracle.connected_poly_sum(g, x, theta), oracle.forest_poly_sum(g, x, phi)]
-            return [{**r.to_dict(), "runtime_seconds": None} for r in reports], sums
+            # new matroids, so that no basis scan is cached across the two bounds
+            matroids = [mm.from_matrix(r, weights) for r in matrices]
+            bases = [(m.bases, oracle.matroid_basis_sums(m),
+                      oracle.matroid_basis_sums(m, mm.normalized_kernel_basis(m)))
+                     for m in matroids]
+            return [{**r.to_dict(), "runtime_seconds": None} for r in reports], sums, bases
         whole = results()
-        monkeypatch.setattr(oracle, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(dg.graph, "_BLOCK_BYTES", 1)
         assert results() == whole
 
     @pytest.mark.parametrize("weight", [1e-110, 1e110])
@@ -198,6 +229,14 @@ class TestComparePolynomial:
         assert oracle.compare_polynomial(g, "C", theta=theta).passed
         assert oracle.connected_poly_sum(dg.WeightedGraph(1, []), None,
                                          np.zeros((0, 1))) == 0.0
+        # C at k = b1 + 1 and A at k = |V| have more vectors than their space
+        # holds: both routes are exactly 0, as the sums are, where roundoff
+        # of about 1e-17 was a relative error of 1 on a unit-weight 2x3 grid
+        g = dg.grid_graph(2, 3)
+        theta = measures.random_theta(g, g.betti_1 + 1, 1)
+        phi = measures.random_phi(g, g.num_vertices, 2)
+        assert oracle.compare_polynomial(g, "C", theta=theta).passed
+        assert oracle.compare_polynomial(g, "A", phi=phi).passed
 
     def test_runtime_bound_at_sixteen_edges(self):
         # a single 16-edge oracle instance stays well under the bound
