@@ -65,6 +65,7 @@ class LinearMatroid:
         return self.kernel_basis.shape[1]
 
     def is_basis(self, subset) -> bool:
+        subset = sorted(subset)
         return len(subset) == self.rank and self.is_independent(subset)
 
     def is_independent(self, subset) -> bool:

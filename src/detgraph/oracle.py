@@ -198,7 +198,7 @@ def matroid_basis_sums(m: matroid_mod.LinearMatroid,
     """Defining sums of the matroid partition functions B and K, stacked over
     blocks of bases whose d x d minors stay under graph._BLOCK_BYTES."""
     bases = np.array(m.bases, dtype=np.intp).reshape(len(m.bases), m.rank)
-    per = max(1, graph_mod._BLOCK_BYTES // (m.ground_size ** 2 * 16))
+    per = max(1, graph_mod._BLOCK_BYTES // (m.ground_size ** 2 * m.image.itemsize))
     blocks = [bases[i:i + per] for i in range(0, len(bases), per)]
     return {"B": float(np.concatenate([matroid_mod.basis_weight(m, t) for t in blocks]).sum()),
             "K": float(np.concatenate([matroid_mod.circuit_density(m, t, z_columns)

@@ -188,7 +188,7 @@ class TestCompareMeasure:
 
     def test_memory_at_the_enumeration_cap(self):
         # 20 edges on 7 vertices, connected k = 2: C(20, 8) = 125970 subsets
-        # scanned twice (topology, minors) in blocks under the byte bound
+        # scanned once (topology and minors per block) under the byte bound
         rng = np.random.default_rng(2)
         edges = [(int(rng.integers(0, v)), v) for v in range(1, 7)]
         while len(edges) < 20:
@@ -230,8 +230,8 @@ class TestComparePolynomial:
         assert oracle.connected_poly_sum(dg.WeightedGraph(1, []), None,
                                          np.zeros((0, 1))) == 0.0
         # C at k = b1 + 1 and A at k = |V| have more vectors than their space
-        # holds: both routes are exactly 0, as the sums are, where roundoff
-        # of about 1e-17 was a relative error of 1 on a unit-weight 2x3 grid
+        # holds: both routes must be exactly 0, as the sums are, since roundoff
+        # of about 1e-17 against an empty sum is a relative error of 1
         g = dg.grid_graph(2, 3)
         theta = measures.random_theta(g, g.betti_1 + 1, 1)
         phi = measures.random_phi(g, g.num_vertices, 2)
