@@ -29,7 +29,8 @@ class ProjectionKernel:
 
     The frame is the one representation, real or complex as it was given;
     the dense Hermitian idempotent `matrix` = frame @ frame^H, of the same
-    dtype, is formed on first use (minors, JSON).
+    dtype, is formed on first use (sampling, minors, JSON) and cached, so
+    every sample of a kernel reads the one matrix.
     """
 
     frame: np.ndarray
@@ -118,28 +119,38 @@ def sample(kernel: ProjectionKernel, seed: int) -> frozenset[int]:
 def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozenset[int]]:
     """Independent samples from seeds seed, seed+1, ..., seed+count-1.
 
-    Chain rule on the frame V (Hough-Krishnapur-Peres-Virag 2006; DPPy's
+    Chain rule on the kernel K (Hough-Krishnapur-Peres-Virag 2006; DPPy's
     Gram-Schmidt sampler): draw i with probability proportional to the
-    conditional diagonal `norms`, append c = (V V[i]^H - C C[i]^H) / sqrt(c_i)
-    to C, subtract |c|^2 from the norms.  O(n r) per step, vectorized over the
-    batch; sample i reads the Philox stream (seed + i, TAG_SAMPLER) exactly as
-    sample(seed + i) does and repeats its arithmetic, so the two agree.
+    conditional diagonal `norms`, which start at diag(K); append
+    c = (K[i] - C[i]^* C^T) / sqrt(c_i) to C and subtract |c|^2 from the
+    norms.  K is the kernel's cached `matrix`, one n x n BLAS-3 product per
+    kernel, so a step reads one row of it and does O(n step) work, vectorized
+    over the batch.  Sample i reads the Philox stream (seed + i, TAG_SAMPLER)
+    exactly as sample(seed + i) does and repeats its arithmetic, so the two
+    agree.  A negative count raises MalformedInput.
     """
+    if count < 0:
+        raise MalformedInput(f"sample count needs a nonnegative value, got {count}")
     # the Gram-Schmidt columns of one sample take as many bytes as the frame
     per = max(1, _BATCH_BYTES // max(kernel.frame.nbytes, 1))
     return [s for lo in range(0, count, per)
-            for s in _chain_rule(kernel.frame, seed + lo, min(per, count - lo))]
+            for s in _chain_rule(kernel, seed + lo, min(per, count - lo))]
 
 
-def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
-    n, r = v.shape
+def _chain_rule(kernel: ProjectionKernel, seed: int, count: int) -> list[frozenset[int]]:
+    k, r = kernel.matrix, kernel.rank
+    n = k.shape[0]
     # r uniforms per sample, one per step, from the sample's own Philox stream
     uniforms = np.array([_rng.stream(seed + b, _rng.TAG_SAMPLER).random(r)
                          for b in range(count)])
-    norms = np.tile((np.abs(v) ** 2).sum(axis=1), (count, 1))
-    cols = np.empty((count, r, n), dtype=v.dtype)  # C^T, one Gram-Schmidt column per step
+    norms = np.tile(np.diag(k).real, (count, 1))
+    # C^T, one Gram-Schmidt column per step.  K is Hermitian, so its rows are
+    # the conjugated columns: C holds the conjugates of the column recursion's
+    # vectors, with the same pivots and norms
+    cols = np.empty((count, r, n), dtype=k.dtype)
     chosen = np.empty((count, r), dtype=np.intp)
     rows = np.arange(count)
+    is_complex = np.iscomplexobj(k)
     for step in range(r):
         probs = np.minimum(norms, 1.0)
         probs[probs < PROB_FLOOR] = 0.0
@@ -149,13 +160,16 @@ def _chain_rule(v: np.ndarray, seed: int, count: int) -> list[frozenset[int]]:
         probs /= total[:, None]
         idx = _rng.categorical(uniforms[:, step], probs)
         chosen[:, step] = idx
-        # stacked (1 x r) @ (r x n) products: each sample's arithmetic is
-        # the same whatever the batch size
-        c = (v[idx].conj()[:, None, :] @ v.T
-             - cols[rows, :step, idx].conj()[:, None, :] @ cols[:, :step, :])[:, 0, :]
+        left = cols[rows, :step, idx]
+        if is_complex:
+            np.conjugate(left, out=left)
+        # stacked (1 x step) @ (step x n) products: each sample's arithmetic
+        # is the same whatever the batch size
+        c = k[idx]
+        c -= (left[:, None, :] @ cols[:, :step, :])[:, 0, :]
         c /= np.sqrt(c[rows, idx].real)[:, None]
         cols[:, step, :] = c
-        norms -= c.real ** 2 + c.imag ** 2 if np.iscomplexobj(c) else c ** 2
+        norms -= c.real ** 2 + c.imag ** 2 if is_complex else c ** 2
         norms[rows, idx] = 0.0  # chosen rows only decrease from here, so stay excluded
     return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
 

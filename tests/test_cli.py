@@ -94,6 +94,13 @@ class TestSample:
                    "-o", str(tmp_path / "s.json"))
         assert code == 3
 
+    def test_projector_drift_exit_code(self, grid_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(dg.dpp, "PROB_FLOOR", 1.5)
+        code = run("sample", "--graph", str(grid_file), "--measure", "ust",
+                   "-o", str(tmp_path / "s.json"))
+        assert code == 3
+        assert "projector drift exhausted the diagonal" in capsys.readouterr().err
+
     @pytest.mark.parametrize("measure", ["ust", "connected", "forest", "mixed"])
     def test_one_vertex_graph_samples_the_empty_set(self, measure, tmp_path):
         graph, out = tmp_path / "g.json", tmp_path / "s.json"

@@ -6,7 +6,7 @@ import pytest
 
 import detgraph as dg
 from detgraph import dpp
-from detgraph.errors import ImpossibleCondition, MalformedInput
+from detgraph.errors import ImpossibleCondition, MalformedInput, NumericDegeneracy
 
 
 @pytest.fixture
@@ -89,6 +89,19 @@ class TestSample:
     def test_batch_matches_scalar(self, triangle_ust):
         scalar = [dg.sample(triangle_ust, 100 + i) for i in range(50)]
         assert dg.sample_batch(triangle_ust, 100, 50) == scalar
+
+    def test_negative_count_refused(self, triangle_ust):
+        with pytest.raises(MalformedInput, match="nonnegative"):
+            dg.sample_batch(triangle_ust, 0, -3)
+
+    def test_zero_count_gives_nothing(self, triangle_ust):
+        assert dg.sample_batch(triangle_ust, 0, 0) == []
+
+    def test_drift_that_exhausts_the_diagonal_is_refused(self, triangle_ust, monkeypatch):
+        # a floor above every probability leaves no index to draw
+        monkeypatch.setattr(dpp, "PROB_FLOOR", 1.5)
+        with pytest.raises(NumericDegeneracy, match="projector drift exhausted the diagonal"):
+            dg.sample(triangle_ust, 0)
 
     def test_singleton_marginals(self):
         g = _four_cycle()
@@ -258,7 +271,7 @@ def test_batch_chunks_hold_the_byte_bound_and_keep_the_samples(monkeypatch, dtyp
     monkeypatch.setattr(dpp, "_BATCH_BYTES", 5 * k.frame.itemsize * k.size * k.rank)
     sizes = []
     chain_rule = dpp._chain_rule
-    monkeypatch.setattr(dpp, "_chain_rule",
-                        lambda v, seed, count: sizes.append(count) or chain_rule(v, seed, count))
+    monkeypatch.setattr(dpp, "_chain_rule", lambda kernel, seed, count:
+                        sizes.append(count) or chain_rule(kernel, seed, count))
     assert dg.sample_batch(k, 7, 12) == whole
     assert sizes == [5, 5, 2]

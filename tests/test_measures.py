@@ -464,6 +464,46 @@ def test_samples_are_stable_per_seed(variant):
     assert [sorted(dg.sample(kernel, s)) for s in range(5)] == GOLDEN_SAMPLES[variant]
 
 
+# seeds 0-2 on a 15x15 grid (420 edges), one bit per edge of each sample
+GOLDEN_SAMPLES_15X15 = {
+    "ust": [
+        0xa993693df4944414ea2d1d7d42907bcf6d6d11fca4e31eb8cfdcdbbbd5ad570a7bb96f9a261bd7d2a460507417bf0fa2250f7b86d,
+        0x6dd3b6ef8e766a9f99b5fdac9feebec487948966a63bf2443ffee4d754b0b00bb6d0b222162581a94983376af256d8aeddc314a3c,
+        0xfd266111fd97d19a7afb4e3a6bf8972f0584fcb66cb179a7f278e77e46ef10b12eca90093edf00abd668f560dc094eeec46563d2e,
+    ],
+    "connected": [
+        0xa9c369bde914441767b21dec228577ad3f9d05bd8ccbaef90dce9717d5659ca1bfe5d7fa236f64f534a050d49ebb0fa225557ecc5,
+        0x7dab2edf9af6ca8fd733e7dd07ebbfcab7258d5472535a2c7de9f6b5a4904c1493d8fe04874500ae0f02374ba9acdb2e76fa7443c,
+        0xfd9228651fbd4a8bfadc5d675f1a33a583964f346e5e39e771f948fbd4aef205a7e80955269b78aa5d0a5578d7734e7e856373856,
+    ],
+    "forest": [
+        0xa993b93fa89444156b299c7d09866b656fa684fe94a15cbd679d9ab7d5a99f416f9aaede1e0fc6e9ad50911d24df4fb2250f7bc45,
+        0x6d99f6fd8b5eca9f9bbbff9d15e67dc93b2981fd355aa82f3d73a9aba4f03003cdd30c88890d01709901b36ecb54936755be25a1f,
+        0xfd2760b13f9e488f7bee4fe2635c9f2f4b855db6783af1ae8efcbd7a06ed243b27829008a7f744aeba41d670e5094e7e84e96a42b,
+    ],
+    "crsf": [
+        0xe73768ebcd13049be623511c8d417f29fd6d467b32897bbd0ebca733b5d53471ef62bd9ea71b559575419013b49b5ee6214d7f49d,
+        0xfa67f7ed93dc587f4b63dcfd1fecfe850e1541f720dbac0677ff66ad94ac994198beb4420a4d04a51928b966e97c90d2e7ed8f22e,
+        0xff490a947bf51419ef7cee7746e827ada30a5fca7a3a38b3f77eeb7ba375c41b25d44c1416f6d4766d085d64eb214f7644ec52ad4,
+    ],
+    "mixed": [
+        0xa993673dac9428156655795d128a57cd758d99fce4cb3bb89b6e969ffccd56817f3abf9a1607ecf964a051540d7f8ee224ce7f165,
+        0x5d336ecdaf57ea2dbb33e4f5a3fedae6eb41157d6cd77a846d68faf7a4900334a5e1554050c7a0a52d22335782bc97a76cdf7253c,
+        0xff073248de7ed20a7eff4e2f53392377034c5f55f47638c7b5daf97f09f9a10cadc2da04167af8163d5a1371ec9a1cfcc467658b4,
+    ],
+}
+
+
+@pytest.mark.parametrize("variant", measures.VARIANTS)
+def test_samples_are_stable_per_seed_at_15x15(variant):
+    base = dg.grid_graph(15, 15)
+    g = dg.WeightedGraph(base.num_vertices, base.edges,
+                         np.random.default_rng(2024).uniform(0.5, 2.0, base.num_edges))
+    kernel = dg.build_kernel(g, measures.random_spec(g, variant, 2, 2, seed=3))
+    assert [sum(1 << e for e in dg.sample(kernel, s)) for s in range(3)] \
+        == GOLDEN_SAMPLES_15X15[variant]
+
+
 @pytest.mark.parametrize("spread", [9, 10])
 @pytest.mark.parametrize("seed", range(10))
 def test_forest_measure_at_wide_weight_spreads(spread, seed):
@@ -591,5 +631,12 @@ class TestKernelDtype:
         assert back.frame.dtype == np.float64
         assert dg.sample_batch(back, 11, 300) == dg.sample_batch(k, 11, 300)
         assert np.abs(back.matrix - k.matrix).max() <= 1e-15
+
+    def test_json_complex_kernel_samples_as_its_source(self, weighted_grid_4x4):
+        # the sampler reads the matrix, which JSON carries exactly
+        g = weighted_grid_4x4
         crsf = dg.build_kernel(g, measures.random_spec(g, "crsf", 1, 1, seed=5))
-        assert dg.ProjectionKernel.from_json(crsf.to_json()).frame.dtype == np.complex128
+        back = dg.ProjectionKernel.from_json(crsf.to_json())
+        assert back.frame.dtype == np.complex128
+        assert np.array_equal(back.matrix, crsf.matrix)
+        assert dg.sample_batch(back, 11, 300) == dg.sample_batch(crsf, 11, 300)
