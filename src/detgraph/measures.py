@@ -15,7 +15,8 @@ edge set in the omega basis:
              subspace is the range of the twisted differential, weight
              x^S prod_cycles |1 - holonomy|^2
   mixed      both constraints at once: k chains and l forms, samples have
-             Euler characteristic k - l + 1 (no closed-form weight evaluator)
+             Euler characteristic k - l + 1, weight x^S |det M|^2 with M the
+             cycle pairings of theta coupled to the cut pairings of phi
 
 Everything that differs between the variants (sample size, frame builder,
 support law, weight evaluator, forms) is data in VARIANT_TABLE; the rest of
@@ -186,6 +187,33 @@ def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
     return np.where((t.component_b1 > 0).sum(axis=-1) == t.b0, factor.prod(axis=-1), 0.0)
 
 
+def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """|det M|^2 per row of a stack of the mixed support, M = [[Theta, 0], [P f, P kappa]]:
+    Theta = (theta_a(gamma_j)) over the m = b1 cycles, P = phi^T d, kappa the
+    indicators of every component but the last, and f a potential with
+    d f = -theta on the forest edges.  M is square, of size k + m; padded to
+    k + l by a 1 at (r, k + r) for each absent cycle row r >= m, whose kappa
+    column is absent too."""
+    k, l = phi.shape[1], theta.shape[1]
+    cycles = t.cycles[:, :l]
+    cycles = np.pad(cycles, ((0, 0), (0, l - cycles.shape[1]), (0, 0)))
+    # f from the forest Laplacian plus the component indicators' projector:
+    # nonsingular, and solved exactly by the potential that sums to 0 per component
+    incidence = g.coboundary[t.subsets] * t.forest[..., None]
+    same = t.labels[:, :, None] == t.labels[:, None, :]
+    f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
+                        -np.swapaxes(incidence, 1, 2) @ theta[t.subsets])
+    p = phi.T @ g.coboundary
+    kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
+    m = np.zeros((len(t), k + l, k + l), dtype=np.result_type(phi, theta, float))
+    m[:, :l, :l] = np.einsum("nje,ea->nja", cycles, theta)
+    m[:, l:, :l] = p @ f
+    m[:, l:, l:] = p @ kappa.astype(int)
+    rows, absent = np.nonzero(np.arange(l) >= t.b1[:, None])
+    m[rows, absent, k + absent] = 1.0
+    return np.abs(np.linalg.det(m)) ** 2
+
+
 def _one_row(g: WeightedGraph, mask: SubgraphMask, factor) -> SubgraphWeight:
     """A mask's weight from the code that weighs stacks, on its one-row topology."""
     t = mask.topology()
@@ -280,8 +308,8 @@ class Variant:
     # SubsetTopology stack alike
     support: Callable[..., bool | np.ndarray]
     # (g, stack, spec) -> the weight of each row of a SubsetTopology stack of
-    # the support, at the graph's weights, if closed form
-    weight: Callable[..., np.ndarray] | None
+    # the support, at the graph's weights
+    weight: Callable[..., np.ndarray]
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
     dual: str | None = None                       # variant under planar duality
 
@@ -321,7 +349,8 @@ VARIANT_TABLE: dict[str, Variant] = {
             _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)),
         support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
                                  & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
-        weight=None,
+        weight=lambda g, t, spec: (_monomial(g.weights, t)
+                                   * _mixed_factor(g, t, spec.phi, spec.theta)),
         forms={"phi": "k", "theta": "l"}),
 }
 VARIANTS = tuple(VARIANT_TABLE)

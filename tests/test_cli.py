@@ -254,6 +254,14 @@ class TestVerify:
         assert run("verify", "--graph", str(g), "--measure", "forest",
                    "--k", "1", "--seed", "4", "-o", str(tmp_path / "r.json")) == 0
 
+    def test_mixed_measure_verifies(self, tmp_path):
+        # mixed has a closed-form weight, so verify compares it like the others
+        g, out = tmp_path / "g.json", tmp_path / "r.json"
+        run("gen-grid", "--rows", "3", "--cols", "3", "-o", str(g))
+        assert run("verify", "--graph", str(g), "--measure", "mixed",
+                   "--k", "1", "--l", "1", "-o", str(out)) == 0
+        assert json.loads(out.read_text())["passed"] is True
+
 
 class TestRender:
     def test_tree_sample_has_no_thick_edges(self, grid_file, tmp_path):

@@ -207,6 +207,52 @@ class TestCompareMeasure:
         assert peak <= 32 * 2 ** 20
 
 
+def _mixed_instances(count: int):
+    """(graph, spec) of random mixed measures with k chains and l forms, 0 <= k, l <= 2."""
+    rng = np.random.default_rng(2024_0011)
+    while count:
+        k, l = (int(v) for v in rng.integers(0, 3, 2))
+        edges = int(rng.integers(5, 13))
+        if k + l == 0 or edges < k + l + 2:
+            continue
+        # l cycles to pair the forms with, k + 1 components to cut out
+        g = random_connected_graph(rng, edges, min_b1=l, min_vertices=k + 2)
+        yield g, measures.random_spec(g, "mixed", k, l, seed=int(rng.integers(2 ** 31)))
+        count -= 1
+
+
+class TestMixedWeight:
+    def test_weights_equal_kernel_densities(self):
+        worst = 0.0
+        for g, spec in _mixed_instances(50):
+            rep = oracle.compare_measure(g, spec)
+            assert rep.passed, (spec.k, spec.l, rep.to_dict())
+            worst = max(worst, rep.max_density_error)
+        assert worst < 1e-12
+
+    def test_complex_forms(self):
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)],
+                             np.random.default_rng(3).uniform(0.5, 2.0, 9))
+        spec = measures.random_spec(g, "mixed", 1, 2, 5)
+        spec = measures.MeasureSpec.mixed(spec.phi + 0.5j * spec.phi[::-1],
+                                          spec.theta - 0.7j * spec.theta[::-1])
+        assert oracle.compare_measure(g, spec).passed
+
+    @pytest.mark.parametrize("perturb", ["alternate rows", "forms"])
+    def test_perturbed_weight_fails(self, perturb, monkeypatch):
+        factor = measures._mixed_factor
+        if perturb == "alternate rows":
+            monkeypatch.setattr(measures, "_mixed_factor", lambda g, t, phi, theta: (
+                factor(g, t, phi, theta) * (1.0 + 0.01 * (np.arange(len(t)) % 2))))
+        else:
+            monkeypatch.setattr(measures, "_mixed_factor", lambda g, t, phi, theta: (
+                factor(g, t, phi, theta + 1e-3 * theta[::-1])))
+        g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)],
+                             np.random.default_rng(3).uniform(0.5, 2.0, 9))
+        spec = measures.random_spec(g, "mixed", 1, 1, 5)
+        assert oracle.compare_measure(g, spec).max_density_error > 1e-6
+
+
 class TestComparePolynomial:
     def test_all_routes_on_grid(self):
         g = dg.grid_graph(2, 3)
