@@ -1,16 +1,15 @@
 """Projection determinantal point processes on a finite index set.
 
-A kernel is the orthogonal projection onto the span of an orthonormal frame,
-in an orthonormal basis indexed by the ground set (for graphs: the omega
-basis over positive edges).  Samples always have exactly rank(K) points;
-densities of full-rank subsets are principal minors.
+A kernel is an orthogonal projection K, held as its dense matrix in an
+orthonormal basis indexed by the ground set (for graphs: the omega basis over
+positive edges).  Samples always have exactly rank(K) points; densities of
+full-rank subsets are principal minors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,22 +24,18 @@ _BATCH_BYTES = 1 << 26  # bound on the per-batch Gram-Schmidt columns of sample_
 
 @dataclass(frozen=True, eq=False)
 class ProjectionKernel:
-    """Orthogonal projection onto the span of an orthonormal frame (n x rank).
+    """Orthogonal projection K of a given rank.  Its dense matrix, real or
+    complex as it was built, is the one representation: the sampler, minors,
+    complement, conditioning and JSON all read it."""
 
-    The frame is the one representation, real or complex as it was given;
-    the dense Hermitian idempotent `matrix` = frame @ frame^H, of the same
-    dtype, is formed on first use (sampling, minors, JSON) and cached, so
-    every sample of a kernel reads the one matrix.
-    """
-
-    frame: np.ndarray
+    matrix: np.ndarray
     rank: int
 
     def __init__(self, matrix: np.ndarray, rank: int | None = None):
         """Kernel of a dense projector from outside the library (JSON, user code).
 
-        One O(n^3) eigh, real for a real matrix, validates it (MalformedInput
-        otherwise) and yields the frame; library kernels use from_frame.
+        One O(n^3) eigvalsh, real for a real matrix, validates it
+        (MalformedInput otherwise); library kernels use from_frame.
         """
         m = np.array(matrix)
         m = m.astype(np.result_type(m, float), copy=False)
@@ -50,7 +45,7 @@ class ProjectionKernel:
             raise MalformedInput("kernel entries must be finite")
         if np.abs(m - m.conj().T).max(initial=0.0) > KERNEL_TOL:
             raise MalformedInput("kernel must be Hermitian")
-        eigvals, eigvecs = np.linalg.eigh(m)
+        eigvals = np.linalg.eigvalsh(m)
         if np.abs(eigvals * (eigvals - 1.0)).max(initial=0.0) > KERNEL_TOL:
             raise MalformedInput("kernel must be idempotent")
         trace = float(np.trace(m).real)
@@ -61,39 +56,37 @@ class ProjectionKernel:
         diag = np.diag(m).real
         if diag.min(initial=0.0) < -KERNEL_TOL or diag.max(initial=0.0) > 1 + KERNEL_TOL:
             raise MalformedInput("kernel diagonal must lie in [0, 1]")
-        frame = eigvecs[:, eigvals > 0.5]
-        for a in (m, frame):
-            a.setflags(write=False)
-        self.__dict__.update(frame=frame, rank=int(rank), matrix=m)  # frozen: bypass setattr
+        m.setflags(write=False)
+        self.__dict__.update(matrix=m, rank=int(rank))  # frozen: bypass setattr
+
+    @classmethod
+    def _of(cls, matrix: np.ndarray, rank: int) -> "ProjectionKernel":
+        """Kernel of a projector the library formed itself, unchecked."""
+        matrix.setflags(write=False)
+        kernel = cls.__new__(cls)
+        kernel.__dict__.update(matrix=matrix, rank=rank)
+        return kernel
 
     @classmethod
     def from_frame(cls, frame: np.ndarray) -> "ProjectionKernel":
-        """Kernel projecting onto the span of orthonormal columns, checked in O(n r^2)."""
+        """Kernel qq^H projecting onto the span of orthonormal columns q, checked in O(n r^2)."""
         q = np.array(frame)
         q = q.astype(np.result_type(q, float), copy=False)
         if q.ndim != 2:
             raise ValueError("frame must be a matrix")
         if not np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= KERNEL_TOL:
             raise ValueError("frame must be orthonormal")  # NaN entries fail too
-        q.setflags(write=False)
-        kernel = cls.__new__(cls)
-        kernel.__dict__.update(frame=q, rank=q.shape[1])
-        return kernel
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        m = self.frame @ self.frame.conj().T
-        m.setflags(write=False)
-        return m
+        return cls._of(q @ q.conj().T, q.shape[1])
 
     @property
     def size(self) -> int:
-        return self.frame.shape[0]
+        return self.matrix.shape[0]
 
     def complement(self) -> "ProjectionKernel":
-        """Kernel of the complement process: the last n - r columns of a complete QR."""
-        q = np.linalg.qr(self.frame, mode="complete")[0]
-        return ProjectionKernel.from_frame(q[:, self.rank:])
+        """Kernel I - K of the complement process, of rank n - r."""
+        m = np.negative(self.matrix)
+        m[np.diag_indices(self.size)] += 1.0
+        return ProjectionKernel._of(m, self.size - self.rank)
 
     def to_json(self) -> str:
         pairs = [[float(z.real), float(z.imag)] for z in self.matrix.ravel()]
@@ -131,8 +124,8 @@ def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozen
     """
     if count < 0:
         raise MalformedInput(f"sample count needs a nonnegative value, got {count}")
-    # the Gram-Schmidt columns of one sample take as many bytes as the frame
-    per = max(1, _BATCH_BYTES // max(kernel.frame.nbytes, 1))
+    # the Gram-Schmidt columns of one sample: rank x size entries of the kernel's dtype
+    per = max(1, _BATCH_BYTES // max(kernel.rank * kernel.size * kernel.matrix.itemsize, 1))
     return [s for lo in range(0, count, per)
             for s in _chain_rule(kernel, seed + lo, min(per, count - lo))]
 
@@ -217,9 +210,9 @@ def condition_inside(kernel: ProjectionKernel, allowed) -> ProjectionKernel:
     onto the compression of the range to the allowed coordinates.
     """
     allowed = sorted(set(allowed))
-    frame = kernel.frame
-    restricted = np.zeros_like(frame)
-    restricted[allowed, :] = frame[allowed, :]
+    # P K = (P Q) Q^H for a range frame Q: the singular values of P Q, and zeros
+    restricted = np.zeros_like(kernel.matrix)
+    restricted[allowed, :] = kernel.matrix[allowed, :]
     q = orthonormalize(restricted)
     if q.shape[1] != kernel.rank:
         raise ImpossibleCondition(

@@ -8,6 +8,8 @@ orthonormal basis omega_e = e*/sqrt(x_e), in which the weighted inner
 product becomes the standard one, so determinantal marginals are literal
 matrix entries.
 
+Frames: `weighted_frame` is the one QR of every kernel, on a weight-free complement
+basis at inverted weights; `null_space` makes every rank decision, weight-free.
 Forms, chains and frames keep the dtype of their input, np.result_type(input,
 float): real forms give real frames and complex forms complex ones.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import MalformedInput
+from .errors import DegenerateForms, MalformedInput
 
 RANK_RTOL = 1e-10
 
@@ -36,33 +38,49 @@ def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.asarray(forms) * np.sqrt(np.asarray(x))[:, None]
 
 
-def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+def weighted_frame(x: np.ndarray, basis: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Orthonormal frame of the omega-scaled columns of `basis`, which must be independent.
 
-    Householder QR with the rows sorted by decreasing weight, which keeps it
+    Rows are scaled by sqrt(x), or with `inverse` by 1/sqrt(x) (never 1/x, which
+    overflows at subnormal x), as a complement basis in e* coordinates is.
+    Householder QR with the rows sorted by decreasing scale, which keeps it
     accurate over wide weight spreads; no rank is decided.
     """
-    order = np.argsort(-np.asarray(x), kind="stable")
-    a = to_omega(x, basis)
+    x = np.asarray(x)
+    order = np.argsort(x if inverse else -x, kind="stable")
+    a = np.asarray(basis) / np.sqrt(x)[:, None] if inverse else to_omega(x, basis)
     q = np.empty(a.shape, dtype=a.dtype)
     q[order] = np.linalg.qr(a[order])[0]
     return q
 
 
-def orthonormalize(columns: np.ndarray, scale: float | None = None) -> np.ndarray:
+def null_space(a: np.ndarray, what: str) -> np.ndarray:
+    """Orthonormal basis of null(a^H) from the complete QR of a weight-free `a`:
+    DegenerateForms, stating `what` and the smallest pivot, unless every |r_jj|
+    exceeds RANK_RTOL.  `a` pairs integer cycles, cuts or incidences with unit
+    forms, so a pivot is of order one, or of rounding size on a dependent column."""
+    rows, cols = a.shape
+    if cols == 0:
+        return np.eye(rows, dtype=np.result_type(a, float))
+    q, r = np.linalg.qr(a, mode="complete")
+    margin = np.abs(np.diagonal(r)).min() if cols <= rows else 0.0
+    if not margin > RANK_RTOL:
+        raise DegenerateForms(f"{what} (rank below {cols}: smallest pivot {margin:.1e}, "
+                              f"at most {RANK_RTOL:.0e})")
+    return q[:, cols:]
+
+
+def orthonormalize(columns: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (standard inner product).
 
     The left singular vectors of a LAPACK SVD whose singular values exceed
-    RANK_RTOL times `scale`; the default scale is the largest input column norm.
-    Pass an explicit scale when the columns are residuals of vectors with a
-    known larger magnitude.
+    RANK_RTOL times the largest input column norm.
     """
     a = np.asarray(columns)
     a = a.astype(np.result_type(a, float), copy=False)
     if a.ndim != 2 or a.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=a.dtype)
-    if scale is None:
-        scale = np.linalg.norm(a, axis=0).max()
+    scale = np.linalg.norm(a, axis=0).max()
     if scale == 0.0:
         return np.zeros((a.shape[0], 0), dtype=a.dtype)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -77,19 +95,6 @@ def unit_columns(columns: np.ndarray) -> np.ndarray:
     a = a / np.where(peak > 0, peak, 1.0)
     norm = np.linalg.norm(a, axis=0)
     return a / np.where(norm > 0, norm, 1.0)
-
-
-def extend_frame(q: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Orthonormal frame q followed by a basis of the part of `columns` outside it.
-
-    The span of hstack([q, columns]), but only the residual of the unit columns,
-    projected off q twice ("twice is enough"), is decomposed; its rank counts
-    the singular values above RANK_RTOL, whatever the scale of `columns`.
-    """
-    c = unit_columns(columns)
-    r = c - q @ (q.conj().T @ c)
-    r -= q @ (q.conj().T @ r)
-    return np.hstack([q, orthonormalize(r, scale=1.0)])
 
 
 def gram_det(x: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> float:

@@ -21,9 +21,9 @@ from functools import cached_property, partial
 import numpy as np
 
 from .dpp import ProjectionKernel
-from .errors import DegenerateForms, ImpossibleCondition, MalformedInput, RankDeficient
+from .errors import ImpossibleCondition, MalformedInput, RankDeficient
 from .graph import check_enumeration_cap, subset_blocks
-from .linalg import RANK_RTOL, extend_frame, gram_det, to_omega, weighted_frame
+from .linalg import RANK_RTOL, gram_det, null_space, unit_columns, weighted_frame
 
 CONDITION_WARN = 1e-8
 
@@ -217,10 +217,11 @@ def circuit_density(m: LinearMatroid, basis,
 def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
     """Projection kernel (omega basis) of the determinantal basis measure.
 
-    Its range is the image of the transposed map, whose stored basis has
-    rank independent columns whatever the weights, so no rank is decided.
+    I - QQ^H for Q the frame of conj(Z) at inverted weights: conj(Z) spans the
+    complement of the image of the transposed map, so no rank is decided.
     """
-    return ProjectionKernel.from_frame(weighted_frame(m.weights, m.image))
+    q = weighted_frame(m.weights, m.kernel_basis.conj(), inverse=True)
+    return ProjectionKernel.from_frame(q).complement()
 
 
 def restricted_kernel_basis(m: LinearMatroid, k_set: tuple[int, ...]) -> np.ndarray:
@@ -348,10 +349,10 @@ def theorem_measure(m: LinearMatroid, theta: np.ndarray):
     weights match the kernel densities.
     """
     theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-    frame = extend_frame(weighted_frame(m.weights, m.image), to_omega(m.weights, theta))
-    if frame.shape[1] != m.rank + theta.shape[1]:
-        raise DegenerateForms("forms overlap the kernel of the adjoint")
-    return ProjectionKernel.from_frame(frame), partial(extension_weight, m, theta)
+    pairing = m.kernel_basis.T @ unit_columns(theta)
+    basis = m.kernel_basis.conj() @ null_space(pairing, "forms overlap the kernel of the adjoint")
+    q = weighted_frame(m.weights, basis, inverse=True)
+    return ProjectionKernel.from_frame(q).complement(), partial(extension_weight, m, theta)
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,9 @@ import numpy as np
 
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
-from .errors import DegenerateForms, MalformedInput
-from .graph import SubgraphMask, WeightedGraph
-from .linalg import (RANK_RTOL, _complex_pairs, extend_frame, j_x_columns, orthonormalize,
-                     to_omega, unit_columns, weighted_frame)
+from .errors import DegenerateForms, MalformedInput, NumericDegeneracy
+from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
+from .linalg import _complex_pairs, null_space, unit_columns, weighted_frame
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,44 +106,41 @@ def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray
         raise ValueError("one connection value per edge required")
     if np.any(np.abs(np.abs(h) - 1.0) > 1e-12):
         raise ValueError("connection values must have unit modulus")
-    m = np.zeros((g.num_edges, g.num_vertices), dtype=complex)
-    for e, (t, hd) in enumerate(g.edges):
-        m[e, hd] += 1.0
-        m[e, t] -= h[e]
+    m = g.coboundary.astype(complex)
+    # one scatter onto the tails: -1 becomes -h_e, and a loop's 0 becomes 1 - h_e
+    m[np.arange(g.num_edges), [t for t, _ in g.edges]] += 1.0 - h
     return m
 
 
-def _forest_core_frame(g: WeightedGraph, x: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of (exact forms) intersect (j_x phi)^perp, omega coords.
+def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
+    """[conj phi | C] for the unit chains phi and the cycle basis C, independent
+    when d phi has rank k; the chains first, as residuals off the cycles they
+    lose four decades of accuracy at weight spreads of 1e+-14."""
+    phi = unit_columns(phi)
+    null_space(g.boundary @ phi, "chains must be independent from the cycle space")
+    return np.hstack([phi.conj(), cycle_space_basis(g)])
 
-    q u[:, k:] for q^H j_x(phi) = u r (complete QR); the one numeric decision
-    is whether the k chains are independent inside the exact forms.
-    """
-    q = _frame_exact_forms(g, x, phi)
-    k = phi.shape[1]
-    if k == 0:
-        return q
-    # unit chains before j_x divides by the weights, unit columns for the rank test
-    jphi_omega = unit_columns(to_omega(x, j_x_columns(x, unit_columns(phi))))
-    u, r = np.linalg.qr(q.conj().T @ jphi_omega, mode="complete")
-    if k > q.shape[1] or np.abs(np.diag(r)).min() <= RANK_RTOL:
-        raise DegenerateForms("chains must be independent from the cycle space")
-    return q @ u[:, k:]
+
+def _annihilated(basis: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """basis @ null(theta^H basis): the part of span(basis) that the forms annihilate."""
+    pairing = basis.conj().T @ unit_columns(theta)
+    return basis @ null_space(pairing, "forms must be independent from the range they extend")
 
 
 def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
-    """Projection kernel of the requested measure, in the omega basis."""
+    """Projection kernel of the requested measure, in the omega basis: I - QQ^H for Q
+    the frame of the variant's weight-free complement basis at inverted weights."""
     variant = VARIANT_TABLE[spec.variant]
     for key, count in variant.forms.items():
         shape = (g.num_edges,) if count is None else (g.num_edges, getattr(spec, count))
         if np.shape(getattr(spec, key)) != shape:
             raise DegenerateForms(f"{spec.variant} measure needs {key} of shape {shape}")
-    expected = spec.expected_rank(g)
-    frame = variant.frame(g, g.weights, spec)
-    if frame.shape[1] != expected:
-        raise DegenerateForms(
-            f"{spec.variant} kernel has rank {frame.shape[1]}, expected {expected}")
-    return ProjectionKernel.from_frame(frame)
+    q = weighted_frame(g.weights, variant.frame(g, spec), inverse=True)
+    try:
+        complement = ProjectionKernel.from_frame(q)
+    except ValueError as exc:
+        raise NumericDegeneracy(f"{spec.variant} complement frame: {exc}") from exc
+    return complement.complement()
 
 
 def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> SubgraphMask:
@@ -302,7 +298,7 @@ class Variant:
     """What one measure variant is made of."""
 
     size: Callable[[int, int, int], int]          # sample size from (|V|, k, l)
-    frame: Callable[..., np.ndarray]              # (g, x, spec) -> omega frame of the range
+    frame: Callable[..., np.ndarray]              # (g, spec) -> weight-free complement basis
     # support law: (topology, k, l) -> bool, on the integer b0, b1 and
     # component_b1 alone; elementwise, so it serves a SubgraphMask and a
     # SubsetTopology stack alike
@@ -317,27 +313,26 @@ class Variant:
 VARIANT_TABLE: dict[str, Variant] = {
     "ust": Variant(
         size=lambda n, k, l: n - 1,
-        frame=lambda g, x, spec: _frame_exact_forms(g, x),
+        frame=lambda g, spec: cycle_space_basis(g),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == 0),
         weight=lambda g, t, spec: _monomial(g.weights, t),
         forms={}, dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
-        frame=lambda g, x, spec: extend_frame(_frame_exact_forms(g, x, spec.theta),
-                                              to_omega(x, spec.theta)),
+        frame=lambda g, spec: _annihilated(cycle_space_basis(g), spec.theta),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == k),
         weight=lambda g, t, spec: _monomial(g.weights, t) * _cycle_factor(t, spec.theta),
         forms={"theta": "k"}, dual="forest"),
     "forest": Variant(
         size=lambda n, k, l: n - 1 - k,
-        frame=lambda g, x, spec: _forest_core_frame(g, x, spec.phi),
+        frame=lambda g, spec: _with_chains(g, spec.phi),
         support=lambda t, k, l: (t.b0 == k + 1) & (t.b1 == 0),
         weight=lambda g, t, spec: _monomial(g.weights, t) * _cut_factor(g, t, spec.phi),
         forms={"phi": "k"}, dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
-        frame=lambda g, x, spec: orthonormalize(
-            to_omega(x, twisted_differential(g, spec.connection))),
+        frame=lambda g, spec: null_space(twisted_differential(g, spec.connection),
+                                         "the twisted differential must be injective"),
         # b1 = b0 cycles with at most one per component: exactly one in each
         support=lambda t, k, l: (t.b1 == t.b0) & (np.max(t.component_b1, axis=-1) <= 1),
         weight=lambda g, t, spec: (_monomial(g.weights, t)
@@ -345,8 +340,7 @@ VARIANT_TABLE: dict[str, Variant] = {
         forms={"connection": None}),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
-        frame=lambda g, x, spec: extend_frame(
-            _forest_core_frame(g, x, spec.phi), to_omega(x, spec.theta)),
+        frame=lambda g, spec: _annihilated(_with_chains(g, spec.phi), spec.theta),
         support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
                                  & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
         weight=lambda g, t, spec: (_monomial(g.weights, t)

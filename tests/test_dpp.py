@@ -265,10 +265,10 @@ class TestBatchOnComplexKernel:
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_batch_chunks_hold_the_byte_bound_and_keep_the_samples(monkeypatch, dtype):
     k = dg.build_kernel(dg.grid_graph(3, 3), dg.MeasureSpec.ust())
-    k = dg.ProjectionKernel.from_frame(k.frame.astype(dtype))
+    k = dg.ProjectionKernel(k.matrix.astype(dtype), k.rank)
     whole = dg.sample_batch(k, 7, 12)
-    # room for the Gram-Schmidt columns of 5 samples, at the frame's own entry size
-    monkeypatch.setattr(dpp, "_BATCH_BYTES", 5 * k.frame.itemsize * k.size * k.rank)
+    # room for the Gram-Schmidt columns of 5 samples, at the kernel's own entry size
+    monkeypatch.setattr(dpp, "_BATCH_BYTES", 5 * k.matrix.itemsize * k.size * k.rank)
     sizes = []
     chain_rule = dpp._chain_rule
     monkeypatch.setattr(dpp, "_chain_rule", lambda kernel, seed, count:

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import detgraph as dg
 from detgraph import cli, measures, oracle
-from detgraph.errors import DegenerateForms, MalformedInput
+from detgraph.errors import DegenerateForms, MalformedInput, NumericDegeneracy
 from detgraph.measures import MeasureSpec
 
 from conftest import random_connected_graph
@@ -546,12 +547,19 @@ class TestFrameKernel:
         return dg.build_kernel(g, measures.random_spec(g, variant, 2, 1, seed=5))
 
     def test_matrix_is_the_frame_projector(self, weighted_grid_4x4, variant):
+        # K is the one representation: Hermitian and idempotent, trace = rank
         k = self.kernel(weighted_grid_4x4, variant)
-        assert k.frame.shape == (weighted_grid_4x4.num_edges, k.rank)
-        assert np.abs(k.matrix - k.frame @ k.frame.conj().T).max() < 1e-14
+        m = k.matrix
+        assert m.shape == (weighted_grid_4x4.num_edges,) * 2
+        assert np.abs(m - m.conj().T).max() < 1e-14
+        assert np.abs(m @ m - m).max() < 1e-14
+        assert abs(np.trace(m).real - k.rank) < 1e-12
 
     def test_non_orthonormal_frame_rejected(self, weighted_grid_4x4, variant):
-        frame = self.kernel(weighted_grid_4x4, variant).frame.copy()
+        k = self.kernel(weighted_grid_4x4, variant)
+        eigvals, eigvecs = np.linalg.eigh(k.matrix)
+        frame = eigvecs[:, eigvals > 0.5]  # a range frame of its own
+        assert np.abs(dg.ProjectionKernel.from_frame(frame).matrix - k.matrix).max() < 1e-12
         frame[:, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError, match="orthonormal"):
             dg.ProjectionKernel.from_frame(frame)
@@ -561,18 +569,22 @@ class TestFrameKernel:
 
     def test_range_frame_spans_the_range(self, weighted_grid_4x4, variant):
         k = self.kernel(weighted_grid_4x4, variant)
-        f = k.frame
-        assert np.abs(f.conj().T @ f - np.eye(k.rank)).max() < 1e-12
+        eigvals, eigvecs = np.linalg.eigh(k.matrix)
+        f = eigvecs[:, eigvals > 0.5]
+        assert f.shape[1] == k.rank
         assert np.abs(k.matrix @ f - f).max() < 1e-12
-        eigvals = np.linalg.eigvalsh(k.matrix)
-        assert np.sum(eigvals > 0.5) == k.rank
+        # the complement projects onto the rest: I - K, of rank n - r
+        comp = k.complement()
+        assert comp.rank == k.size - k.rank
+        assert np.abs(comp.matrix + k.matrix - np.eye(k.size)).max() < 1e-15
+        assert np.abs(comp.matrix @ f).max() < 1e-12
 
     def test_json_roundtrip_keeps_the_kernel(self, weighted_grid_4x4, variant):
         k = self.kernel(weighted_grid_4x4, variant)
         back = dg.ProjectionKernel.from_json(k.to_json())
         assert back.rank == k.rank
         assert np.abs(back.matrix - k.matrix).max() < 1e-14
-        assert np.abs(back.frame @ back.frame.conj().T - k.matrix).max() < 1e-12
+        assert back.matrix.dtype == k.matrix.dtype
 
     def test_batch_equals_samples_per_seed(self, weighted_grid_4x4, variant):
         k = self.kernel(weighted_grid_4x4, variant)
@@ -594,7 +606,7 @@ class TestKernelDtype:
         from_file = measures.random_spec(g, variant, 2, 1, seed=5, forms=loaded)
         for spec in (seeded, from_file):
             assert all(getattr(spec, key).dtype == np.float64 for key in forms)
-            assert dg.build_kernel(g, spec).frame.dtype == np.float64
+            assert dg.build_kernel(g, spec).matrix.dtype == np.float64
 
     @pytest.mark.parametrize("variant, key", [
         ("crsf", None), ("connected", "theta"), ("forest", "phi"),
@@ -609,13 +621,13 @@ class TestKernelDtype:
                                         forms={key: form + 1j * form[::-1]})
         assert all(getattr(spec, key).dtype == np.complex128
                    for key in measures.VARIANT_TABLE[variant].forms)
-        assert dg.build_kernel(g, spec).frame.dtype == np.complex128
+        assert dg.build_kernel(g, spec).matrix.dtype == np.complex128
 
     @pytest.mark.parametrize("variant", REAL_VARIANTS)
     def test_real_kernel_agrees_with_its_complex_cast(self, weighted_grid_4x4, variant):
         k = dg.build_kernel(weighted_grid_4x4, measures.random_spec(weighted_grid_4x4,
                                                                      variant, 2, 1, seed=5))
-        kc = dg.ProjectionKernel.from_frame(k.frame.astype(complex))
+        kc = dg.ProjectionKernel(k.matrix.astype(complex), k.rank)
         samples = dg.sample_batch(k, 11, 300)
         assert samples == dg.sample_batch(kc, 11, 300)
         assert np.abs(k.matrix - kc.matrix).max() <= 1e-15
@@ -628,7 +640,7 @@ class TestKernelDtype:
         g = weighted_grid_4x4
         k = dg.build_kernel(g, measures.random_spec(g, variant, 2, 1, seed=5))
         back = dg.ProjectionKernel.from_json(k.to_json())
-        assert back.frame.dtype == np.float64
+        assert back.matrix.dtype == np.float64
         assert dg.sample_batch(back, 11, 300) == dg.sample_batch(k, 11, 300)
         assert np.abs(back.matrix - k.matrix).max() <= 1e-15
 
@@ -637,6 +649,76 @@ class TestKernelDtype:
         g = weighted_grid_4x4
         crsf = dg.build_kernel(g, measures.random_spec(g, "crsf", 1, 1, seed=5))
         back = dg.ProjectionKernel.from_json(crsf.to_json())
-        assert back.frame.dtype == np.complex128
+        assert back.matrix.dtype == np.complex128
         assert np.array_equal(back.matrix, crsf.matrix)
         assert dg.sample_batch(back, 11, 300) == dg.sample_batch(crsf, 11, 300)
+
+
+def _grid_with_tiny_edges(seed):
+    """3x3 grid with weights uniform(0.5, 2), three of its edges scaled by 1e-13,
+    both drawn from default_rng(seed)."""
+    base = dg.grid_graph(3, 3)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.5, 2.0, base.num_edges)
+    x[rng.choice(base.num_edges, 3, replace=False)] *= 1e-13
+    return dg.WeightedGraph(base.num_vertices, base.edges, x)
+
+
+# connected k = 2 kernels of these seeds failed their own orthonormality check
+# (an untyped ValueError, exit 2) while the forms were taken as residuals off a
+# weighted exact-forms frame; the complement basis is weight-free
+@pytest.mark.parametrize("seed", [3, 7, 15, 22, 24, 30, 38, 41, 46])
+def test_connected_measure_with_three_tiny_edges(seed, tmp_path):
+    g = _grid_with_tiny_edges(seed)
+    assert oracle.compare_measure(g, measures.random_spec(g, "connected", 2, 0, seed)).passed
+    graph = tmp_path / "g.json"
+    graph.write_text(g.to_json())
+    assert cli.main(["sample", "--graph", str(graph), "--measure", "connected", "--k", "2",
+                     "--seed", str(seed), "--count", "2", "-o", str(tmp_path / "s.json")]) == 0
+
+
+def test_failed_frame_check_is_a_numeric_degeneracy(monkeypatch, tmp_path, capsys):
+    # no frame passes a negative tolerance: inside build_kernel that is a
+    # numeric failure (exit 3), while a frame from outside keeps its ValueError
+    monkeypatch.setattr(dg.dpp, "KERNEL_TOL", -1.0)
+    g = dg.grid_graph(2, 2)
+    with pytest.raises(NumericDegeneracy, match="orthonormal"):
+        dg.build_kernel(g, MeasureSpec.ust())
+    with pytest.raises(ValueError, match="orthonormal") as info:
+        dg.ProjectionKernel.from_frame(np.eye(3)[:, :2])
+    assert not isinstance(info.value, NumericDegeneracy)
+    graph = tmp_path / "g.json"
+    graph.write_text(g.to_json())
+    assert cli.main(["sample", "--graph", str(graph), "--measure", "ust",
+                     "-o", str(tmp_path / "s.json")]) == 3
+    assert "orthonormal" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("variant", measures.VARIANTS)
+def test_smallest_subnormal_weight_gives_a_finite_kernel(variant):
+    # the complement is scaled by 1/sqrt(x): 1/x would overflow at 5e-324
+    base = dg.grid_graph(3, 3)
+    x = np.random.default_rng(1).uniform(0.5, 2.0, base.num_edges)
+    x[4] = 5e-324
+    g = dg.WeightedGraph(base.num_vertices, base.edges, x)
+    k = dg.build_kernel(g, measures.random_spec(g, variant, 1, 1, seed=2))
+    assert np.all(np.isfinite(k.matrix))
+    assert np.abs(k.matrix @ k.matrix - k.matrix).max() < 1e-14
+    assert abs(k.matrix[4, 4]) < 1e-15  # an edge of weight 0+ is almost never drawn
+
+
+# the supported weight range that README documents: every variant agrees with
+# the oracle at spreads up to 1e+-14 (derandomized, so the examples are fixed)
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(case=st.sampled_from([("ust", 0, 0), ("connected", 1, 0), ("connected", 2, 0),
+                             ("forest", 1, 0), ("forest", 2, 0), ("crsf", 0, 0),
+                             ("mixed", 1, 1), ("mixed", 2, 1)]),
+       spread=st.floats(0.0, 14.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_variant_agrees_with_the_oracle_over_the_weight_range(case, spread, seed):
+    variant, k, l = case
+    base = dg.grid_graph(3, 3)
+    x = 10.0 ** np.random.default_rng(seed).uniform(-spread, spread, base.num_edges)
+    g = dg.WeightedGraph(base.num_vertices, base.edges, x)
+    rep = oracle.compare_measure(g, measures.random_spec(g, variant, k, l, seed))
+    assert rep.passed, rep.to_dict()
