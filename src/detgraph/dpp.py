@@ -70,7 +70,7 @@ class ProjectionKernel:
     @classmethod
     def from_frame(cls, frame: np.ndarray) -> "ProjectionKernel":
         """Kernel qq^H projecting onto the span of orthonormal columns q, checked in O(n r^2)."""
-        q = np.array(frame)
+        q = np.asarray(frame)
         q = q.astype(np.result_type(q, float), copy=False)
         if q.ndim != 2:
             raise ValueError("frame must be a matrix")

@@ -48,9 +48,10 @@ def weighted_frame(x: np.ndarray, basis: np.ndarray, inverse: bool = False) -> n
     """
     x = np.asarray(x)
     order = np.argsort(x if inverse else -x, kind="stable")
-    a = np.asarray(basis) / np.sqrt(x)[:, None] if inverse else to_omega(x, basis)
+    x, a = x[order], np.asarray(basis)[order]
+    a = a / np.sqrt(x)[:, None] if inverse else to_omega(x, a)
     q = np.empty(a.shape, dtype=a.dtype)
-    q[order] = np.linalg.qr(a[order])[0]
+    q[order] = np.linalg.qr(a)[0]
     return q
 
 
@@ -67,7 +68,7 @@ def null_space(a: np.ndarray, what: str) -> np.ndarray:
     if not margin > RANK_RTOL:
         raise DegenerateForms(f"{what} (rank below {cols}: smallest pivot {margin:.1e}, "
                               f"at most {RANK_RTOL:.0e})")
-    return q[:, cols:]
+    return q[:, cols:].copy()  # not a view that keeps all of q alive
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:

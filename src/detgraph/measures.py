@@ -193,8 +193,8 @@ def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np
     k, l = phi.shape[1], theta.shape[1]
     cycles = t.cycles[:, :l]
     cycles = np.pad(cycles, ((0, 0), (0, l - cycles.shape[1]), (0, 0)))
-    # f from the forest Laplacian plus the component indicators' projector:
-    # nonsingular, and solved exactly by the potential that sums to 0 per component
+    # (L + U U^T) f = -d_F^T theta, L the forest Laplacian and U the component
+    # indicators: nonsingular, solved by the f that sums to 0 on each component
     incidence = g.coboundary[t.subsets] * t.forest[..., None]
     same = t.labels[:, :, None] == t.labels[:, None, :]
     f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
