@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng as _rng
 from .errors import ImpossibleCondition, MalformedInput, NumericDegeneracy
-from .linalg import _complex_pairs, orthonormalize
+from .linalg import _complex_pairs, orthonormalize, weighted_frame
 
 KERNEL_TOL = 1e-10
 PROB_FLOOR = 1e-14
@@ -35,7 +35,7 @@ class ProjectionKernel:
         """Kernel of a dense projector from outside the library (JSON, user code).
 
         One O(n^3) eigvalsh, real for a real matrix, validates it
-        (MalformedInput otherwise); library kernels use from_frame.
+        (MalformedInput otherwise); library kernels use complement_of.
         """
         m = np.array(matrix)
         m = m.astype(np.result_type(m, float), copy=False)
@@ -77,6 +77,17 @@ class ProjectionKernel:
         if not np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) <= KERNEL_TOL:
             raise ValueError("frame must be orthonormal")  # NaN entries fail too
         return cls._of(q @ q.conj().T, q.shape[1])
+
+    @classmethod
+    def complement_of(cls, x: np.ndarray, basis: np.ndarray) -> "ProjectionKernel":
+        """Kernel I - QQ^H onto the complement of a weight-free basis, in the omega
+        basis at weights x: Q = weighted_frame(x, basis).  Every library kernel is
+        one; a frame that fails from_frame's check raises NumericDegeneracy."""
+        try:
+            complement = cls.from_frame(weighted_frame(x, basis))
+        except ValueError as exc:
+            raise NumericDegeneracy(f"complement frame: {exc}") from exc
+        return complement.complement()
 
     @property
     def size(self) -> int:
@@ -167,6 +178,17 @@ def _chain_rule(kernel: ProjectionKernel, seed: int, count: int) -> list[frozens
     return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
 
 
+def _in_range(kernel: ProjectionKernel, indices) -> np.ndarray:
+    """The indices as an integer array; MalformedInput unless each is an integer
+    in range(size), where numpy would wrap a negative one."""
+    idx = np.asarray(indices)
+    bad = idx[(idx < 0) | (idx >= kernel.size)] if idx.dtype.kind in "iu" else idx
+    if bad.size:
+        raise MalformedInput(f"indices must be integers in range({kernel.size}), "
+                             f"got {bad.ravel().tolist()[0]!r}")
+    return idx.astype(np.intp, copy=False)
+
+
 def density(kernel: ProjectionKernel, subsets) -> float | np.ndarray:
     """P(X = subset) for a subset of size rank: a principal minor.
 
@@ -175,7 +197,7 @@ def density(kernel: ProjectionKernel, subsets) -> float | np.ndarray:
     alone.  The caller bounds N: the minors take N rank^2 matrix entries.
     """
     stacked = np.ndim(subsets) == 2
-    idx = np.sort(subsets, axis=1) if stacked else np.array(sorted(subsets))
+    idx = _in_range(kernel, np.sort(subsets, axis=1) if stacked else sorted(subsets))
     if idx.shape[-1] != kernel.rank or np.any(idx[..., 1:] == idx[..., :-1]):
         raise ValueError(f"density needs exactly rank={kernel.rank} distinct indices")
     if not stacked:
@@ -186,8 +208,8 @@ def density(kernel: ProjectionKernel, subsets) -> float | np.ndarray:
 
 def inclusion_probability(kernel: ProjectionKernel, subset) -> float:
     """P(subset included in X): principal minor on the subset."""
-    idx = sorted(subset)
-    if not idx:
+    idx = _in_range(kernel, sorted(subset))
+    if not idx.size:
         return 1.0
     minor = kernel.matrix[np.ix_(idx, idx)]
     return max(float(np.linalg.det(minor).real), 0.0)
@@ -209,7 +231,7 @@ def condition_inside(kernel: ProjectionKernel, allowed) -> ProjectionKernel:
     almost surely stay inside `allowed`; it equals the orthogonal projection
     onto the compression of the range to the allowed coordinates.
     """
-    allowed = sorted(set(allowed))
+    allowed = _in_range(kernel, sorted(set(allowed)))
     # P K = (P Q) Q^H for a range frame Q: the singular values of P Q, and zeros
     restricted = np.zeros_like(kernel.matrix)
     restricted[allowed, :] = kernel.matrix[allowed, :]

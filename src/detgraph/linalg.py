@@ -9,7 +9,9 @@ product becomes the standard one, so determinantal marginals are literal
 matrix entries.
 
 Frames: `weighted_frame` is the one QR of every kernel, on a weight-free complement
-basis at inverted weights; `null_space` makes every rank decision, weight-free.
+basis at inverted weights.  Rank decisions: `null_space` makes those of the forms
+and chains, weight-free; `orthonormalize` that of a conditioned kernel, and the
+matroid module reads the rank of R from its singular values.
 Forms, chains and frames keep the dtype of their input, np.result_type(input,
 float): real forms give real frames and complex forms complex ones.
 """
@@ -38,18 +40,17 @@ def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.asarray(forms) * np.sqrt(np.asarray(x))[:, None]
 
 
-def weighted_frame(x: np.ndarray, basis: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Orthonormal frame of the omega-scaled columns of `basis`, which must be independent.
+def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal frame, in omega coordinates, of the independent columns of a
+    complement basis in e* coordinates: their rows scaled by 1/sqrt(x) (never 1/x,
+    which overflows at subnormal x).
 
-    Rows are scaled by sqrt(x), or with `inverse` by 1/sqrt(x) (never 1/x, which
-    overflows at subnormal x), as a complement basis in e* coordinates is.
-    Householder QR with the rows sorted by decreasing scale, which keeps it
-    accurate over wide weight spreads; no rank is decided.
+    Householder QR with the rows sorted by increasing x, so by decreasing scale,
+    which keeps it accurate over wide weight spreads; no rank is decided.
     """
     x = np.asarray(x)
-    order = np.argsort(x if inverse else -x, kind="stable")
-    x, a = x[order], np.asarray(basis)[order]
-    a = a / np.sqrt(x)[:, None] if inverse else to_omega(x, a)
+    order = np.argsort(x, kind="stable")
+    a = np.asarray(basis)[order] / np.sqrt(x[order])[:, None]
     q = np.empty(a.shape, dtype=a.dtype)
     q[order] = np.linalg.qr(a)[0]
     return q
@@ -69,6 +70,13 @@ def null_space(a: np.ndarray, what: str) -> np.ndarray:
         raise DegenerateForms(f"{what} (rank below {cols}: smallest pivot {margin:.1e}, "
                               f"at most {RANK_RTOL:.0e})")
     return q[:, cols:].copy()  # not a view that keeps all of q alive
+
+
+def _annihilated(basis: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """basis @ null(theta^H basis): the part of span(basis) that the forms annihilate,
+    the complement basis of a range extended by the forms."""
+    pairing = basis.conj().T @ unit_columns(theta)
+    return basis @ null_space(pairing, "forms must be independent from the range they extend")
 
 
 def orthonormalize(columns: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from .dpp import ProjectionKernel
 from .errors import ImpossibleCondition, MalformedInput, RankDeficient
 from .graph import check_enumeration_cap, subset_blocks
-from .linalg import RANK_RTOL, gram_det, null_space, unit_columns, weighted_frame
+from .linalg import RANK_RTOL, _annihilated, gram_det
 
 CONDITION_WARN = 1e-8
 
@@ -79,10 +79,6 @@ class LinearMatroid:
         if ill:
             warnings.warn(f"basis {tuple(ill[0])} is numerically ill conditioned", RuntimeWarning)
         return tuple(map(tuple, bases.tolist()))
-
-    @cached_property
-    def _basis_lookup(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.bases)
 
     def bases_of_rank_k_extension(self, k: int) -> list[tuple[int, ...]]:
         """Subsets of size rank+k whose columns span the whole image."""
@@ -217,11 +213,10 @@ def circuit_density(m: LinearMatroid, basis,
 def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
     """Projection kernel (omega basis) of the determinantal basis measure.
 
-    I - QQ^H for Q the frame of conj(Z) at inverted weights: conj(Z) spans the
-    complement of the image of the transposed map, so no rank is decided.
+    The complement of conj(Z), which spans the complement of the image of the
+    transposed map, so no rank is decided.
     """
-    q = weighted_frame(m.weights, m.kernel_basis.conj(), inverse=True)
-    return ProjectionKernel.from_frame(q).complement()
+    return ProjectionKernel.complement_of(m.weights, m.kernel_basis.conj())
 
 
 def restricted_kernel_basis(m: LinearMatroid, k_set: tuple[int, ...]) -> np.ndarray:
@@ -247,13 +242,12 @@ def conditional_density(m: LinearMatroid, k_set, subset) -> float:
 
 
 def _basis_ratio(m: LinearMatroid, z: np.ndarray, zk: np.ndarray, k_set) -> float:
-    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set.
-
-    The bases are in lexicographic order, so T is the first rank-subset of
-    k_set, in that order, that is a basis.
+    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set: the
+    first rank-subset of k_set, in lexicographic order, that is a basis.  Only
+    subsets of k_set are tested, so no enumeration of the ground set is capped.
     """
     basis = next((t for t in itertools.combinations(sorted(k_set), m.rank)
-                  if t in m._basis_lookup), None)
+                  if m.is_basis(t)), None)
     if basis is None:
         raise ImpossibleCondition("conditioning set contains no basis")
     return float(abs(minor_on_complement(z, basis, range(m.ground_size))) ** 2
@@ -349,10 +343,8 @@ def theorem_measure(m: LinearMatroid, theta: np.ndarray):
     weights match the kernel densities.
     """
     theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-    pairing = m.kernel_basis.T @ unit_columns(theta)
-    basis = m.kernel_basis.conj() @ null_space(pairing, "forms overlap the kernel of the adjoint")
-    q = weighted_frame(m.weights, basis, inverse=True)
-    return ProjectionKernel.from_frame(q).complement(), partial(extension_weight, m, theta)
+    kernel = ProjectionKernel.complement_of(m.weights, _annihilated(m.kernel_basis.conj(), theta))
+    return kernel, partial(extension_weight, m, theta)
 
 
 @dataclass(frozen=True)
@@ -380,8 +372,7 @@ def circuit_basis_identity_check(m: LinearMatroid,
     for rows in itertools.combinations(range(m.ground_size), b):
         coeff = complex(np.linalg.det(z[list(rows), :])) if b else 1.0 + 0j
         complement = tuple(i for i in range(m.ground_size) if i not in set(rows))
-        expected = (change_of_basis_det(m, z, complement) if complement in m._basis_lookup
-                    else 0.0 + 0j)
+        expected = change_of_basis_det(m, z, complement) if m.is_basis(complement) else 0j
         worst = max(worst, abs(coeff - expected))
         checked += 1
     return IdentityReport(worst, checked)

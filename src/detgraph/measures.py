@@ -33,9 +33,9 @@ import numpy as np
 
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
-from .errors import DegenerateForms, MalformedInput, NumericDegeneracy
+from .errors import DegenerateForms, MalformedInput
 from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
-from .linalg import _complex_pairs, null_space, unit_columns, weighted_frame
+from .linalg import _annihilated, _complex_pairs, null_space, unit_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +88,6 @@ class SubgraphWeight:
     topological: float
 
 
-def _frame_exact_forms(g: WeightedGraph, x: np.ndarray, *forms: np.ndarray) -> np.ndarray:
-    """Frame of the differentials of all vertices but the first, omega coords;
-    independent as the graph is connected.  Complex when a form it is
-    combined with is, so that a complex kernel is complex throughout."""
-    return weighted_frame(x, g.coboundary[:, 1:].astype(np.result_type(float, *forms)))
-
-
 def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray:
     """Matrix of the covariant derivative for a connection, in e* coordinates.
 
@@ -121,26 +114,15 @@ def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     return np.hstack([phi.conj(), cycle_space_basis(g)])
 
 
-def _annihilated(basis: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """basis @ null(theta^H basis): the part of span(basis) that the forms annihilate."""
-    pairing = basis.conj().T @ unit_columns(theta)
-    return basis @ null_space(pairing, "forms must be independent from the range they extend")
-
-
 def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
-    """Projection kernel of the requested measure, in the omega basis: I - QQ^H for Q
-    the frame of the variant's weight-free complement basis at inverted weights."""
+    """Projection kernel of the requested measure, in the omega basis:
+    ProjectionKernel.complement_of the variant's weight-free complement basis."""
     variant = VARIANT_TABLE[spec.variant]
     for key, count in variant.forms.items():
         shape = (g.num_edges,) if count is None else (g.num_edges, getattr(spec, count))
         if np.shape(getattr(spec, key)) != shape:
             raise DegenerateForms(f"{spec.variant} measure needs {key} of shape {shape}")
-    q = weighted_frame(g.weights, variant.frame(g, spec), inverse=True)
-    try:
-        complement = ProjectionKernel.from_frame(q)
-    except ValueError as exc:
-        raise NumericDegeneracy(f"{spec.variant} complement frame: {exc}") from exc
-    return complement.complement()
+    return ProjectionKernel.complement_of(g.weights, variant.frame(g, spec))
 
 
 def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> SubgraphMask:
@@ -400,14 +382,24 @@ def random_spec(g: WeightedGraph, variant: str, k: int, l: int, seed: int,
     """Spec with forms drawn from the seed, mirroring the sampler's streams.
 
     Forms present in `forms` (as returned by forms_from_json) are used
-    instead of drawn; k and l then come from their column counts.
+    instead of drawn; k and l then come from their column counts.  A negative
+    k or l, or a given form without one row per edge (a connection: one value
+    per edge), raises MalformedInput.
     """
+    if k < 0 or l < 0:
+        raise MalformedInput(f"k and l need nonnegative values, got k={k}, l={l}")
     counts = {"k": k, "l": l}
     forms = forms or {}
     chosen = {}
     for key, count in variant_of(variant).forms.items():
         value = forms.get(key)
-        chosen[key] = _DRAWS[key](g, counts.get(count), seed) if value is None else value
+        if value is None:
+            value = _DRAWS[key](g, counts.get(count), seed)
+        # one row per edge: a vector, or for forms and chains one column each
+        elif np.shape(value)[:1] != (g.num_edges,) or np.ndim(value) > (2 if count else 1):
+            raise MalformedInput(f"forms {key!r} need {g.num_edges} rows, one per edge, "
+                                 f"got shape {np.shape(value)}")
+        chosen[key] = value
     return _spec_from_forms(variant, chosen)
 
 

@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import NumericDegeneracy
 from .graph import SubgraphMask, WeightedGraph, _RootedForest, cut_space_basis, cycle_space_basis
-from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega
-from .measures import _frame_exact_forms
+from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega, weighted_frame
 
 
 def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
@@ -118,25 +117,26 @@ class RatioReport:
 
 def ratio_identity_connected(g: WeightedGraph, x: np.ndarray | None,
                              theta: np.ndarray) -> RatioReport:
-    """C^(k)/T against the squared norm of the cycle-space projection of theta."""
+    """C^(k)/T against the squared norm of the cycle-space projection of theta,
+    read in the cycle-space frame that the ust kernel is the complement of."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
     theta = np.column_stack([theta])
     lhs = generalized_C(g, x, theta).real / kirchhoff_T(g, x).real
-    q = _frame_exact_forms(g, x)
-    t = to_omega(x, theta)
-    proj = t - q @ (q.conj().T @ t)  # the part of theta orthogonal to the exact forms
-    return RatioReport(lhs, float(np.linalg.det(proj.conj().T @ proj).real))
+    a = weighted_frame(x, cycle_space_basis(g)).conj().T @ to_omega(x, theta)
+    return RatioReport(lhs, float(np.linalg.det(a.conj().T @ a).real))
 
 
 def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
                           phi: np.ndarray) -> RatioReport:
-    """A^(k)/T against the squared norm of the exact-form projection of j_x phi."""
+    """A^(k)/T against the squared norm of the exact-form projection of j_x phi:
+    the residual of j_x phi off the cycle-space frame."""
     x = g.weights if x is None else np.asarray(x, dtype=float)
     phi = np.column_stack([phi])
     lhs = generalized_A(g, x, phi).real / kirchhoff_T(g, x).real
-    q = _frame_exact_forms(g, x)
-    coords = q.conj().T @ to_omega(x, j_x_columns(x, phi))  # exact-form part, in frame coords
-    return RatioReport(lhs, float(np.linalg.det(coords.conj().T @ coords).real))
+    q = weighted_frame(x, cycle_space_basis(g))
+    t = to_omega(x, j_x_columns(x, phi))
+    r = t - q @ (q.conj().T @ t)
+    return RatioReport(lhs, float(np.linalg.det(r.conj().T @ r).real))
 
 
 def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:

@@ -329,6 +329,27 @@ def test_malformed_input_exits_2_without_traceback(case, grid_file, tmp_path, ca
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sample", "verify", "kernel", "poly"])
+def test_forms_of_the_wrong_length_exit_2(command, grid_file, tmp_path, capsys):
+    # one theta of 5 rows for the 12 edges of the grid
+    forms = tmp_path / "f.json"
+    forms.write_text(measures.forms_to_json(theta=np.ones((5, 1))))
+    which = ("--which", "C") if command == "poly" else ("--measure", "connected")
+    assert run(command, "--graph", str(grid_file), *which, "--k", "1", "--forms", str(forms),
+               "-o", str(tmp_path / "out")) == 2
+    assert "'theta'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--measure", "forest", "--k", "-1"),
+    ("sample", "--measure", "mixed", "--k", "1", "--l", "-1"),
+    ("poly", "--which", "A", "--k", "-1"),
+], ids=["sample-k", "sample-l", "poly-k"])
+def test_negative_form_count_exits_2(argv, grid_file, tmp_path, capsys):
+    assert run(*argv, "--graph", str(grid_file), "-o", str(tmp_path / "out")) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
 class TestFigureScaleRoundTrip:
     def test_fifteen_grid_all_measures(self, tmp_path):
         import time

@@ -192,6 +192,24 @@ class TestInclusion:
             assert dg.inclusion_probability(k, (e, f)) <= diag[e] * diag[f] + 1e-12
 
 
+class TestIndexRange:
+    # 4 edges: numpy would read -1 as edge 3, so [3, -1, 0] would count it twice
+    @pytest.mark.parametrize("read, indices", [
+        (dg.inclusion_probability, [-1]),
+        (dg.inclusion_probability, [4]),
+        (dg.inclusion_probability, [0.5]),
+        (dg.density, [3, -1, 0]),
+        (dg.density, np.array([[0, 1, 2], [0, 1, 4]])),
+        (dg.condition_inside, [-1, 0, 1, 2]),
+        (dg.condition_inside, [0, 1, 2, 4]),
+    ], ids=["inclusion-negative", "inclusion-past-end", "inclusion-float", "density-negative",
+            "density-stacked-past-end", "condition-negative", "condition-past-end"])
+    def test_index_outside_the_ground_set_is_refused(self, read, indices):
+        k = dg.build_kernel(dg.grid_graph(2, 2), dg.MeasureSpec.ust())
+        with pytest.raises(MalformedInput, match=r"range\(4\)"):
+            read(k, indices)
+
+
 class TestGeneratingFunction:
     def test_at_ones(self, triangle_ust):
         assert dg.generating_function(triangle_ust, np.ones(3)) == pytest.approx(1.0)

@@ -6,7 +6,6 @@ import pytest
 import detgraph as dg
 from detgraph import oracle
 from detgraph.linalg import bilinear_gram_det, gram_det, orthonormalize, to_omega
-from detgraph.measures import _frame_exact_forms
 
 
 def _random_forms(rng, n, m):
@@ -73,9 +72,8 @@ class TestProjection:
         g = dg.grid_graph(2, 3)
         p = _projector(g.weights, g.coboundary.astype(complex))
         assert abs(np.trace(p).real - (g.num_vertices - 1)) < 1e-8
-        # the SVD span of the whole coboundary is the exact-forms QR frame's
-        q = _frame_exact_forms(g, g.weights)
-        assert np.abs(p - q @ q.conj().T).max() < 1e-12
+        # the SVD span of the whole coboundary is the range of the ust kernel
+        assert np.abs(p - dg.build_kernel(g, dg.MeasureSpec.ust()).matrix).max() < 1e-12
 
 
 class TestGramDet:

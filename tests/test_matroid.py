@@ -6,7 +6,7 @@ import pytest
 import detgraph as dg
 from detgraph import dpp, matroid as mm, oracle
 from detgraph.errors import (EnumerationCapExceeded, ImpossibleCondition, MalformedInput,
-                             RankDeficient)
+                             NumericDegeneracy, RankDeficient)
 
 from conftest import random_connected_graph
 
@@ -96,6 +96,24 @@ class TestConstruction:
             m.bases_of_rank_k_extension(1)
         with pytest.raises(EnumerationCapExceeded):
             m.bases
+
+    def test_weights_of_one_set_keep_below_the_enumeration_cap(self, monkeypatch):
+        # the weight of a 7-set scans the rank-subsets of that set alone, so a
+        # cap below the 10-element ground set leaves every value as it was
+        rng = np.random.default_rng(8)
+        theta = rng.standard_normal((10, 3)) + 1j * rng.standard_normal((10, 3))
+        k_set = (0, 2, 3, 5, 6, 8, 9)
+
+        def values():
+            # a new matroid each time: nothing it caches carries over
+            m = _random_matroid(7, target=4, ground=10)
+            _, weight = mm.theorem_measure(m, theta)
+            return (mm.extension_weight(m, theta, k_set), mm.ratio_constant(m, k_set),
+                    weight(k_set))
+
+        expected = values()
+        monkeypatch.setenv("DETGRAPH_ENUM_CAP", "8")
+        assert values() == expected
 
 
 class TestFundamentalCircuits:
@@ -361,6 +379,21 @@ class TestTheoremMeasure:
         ds = np.array([dpp.density(tk, t) for t in ksets])
         assert ds.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(ws / ws.sum() - ds).max() < 1e-9
+
+
+    def test_failed_frame_check_is_a_numeric_degeneracy(self, monkeypatch):
+        # no frame passes a negative tolerance: the library's kernels raise
+        # NumericDegeneracy, while a frame from outside keeps its ValueError
+        monkeypatch.setattr(dpp, "KERNEL_TOL", -1.0)
+        m = _random_matroid(29)
+        theta = np.random.default_rng(30).standard_normal((m.ground_size, 1))
+        with pytest.raises(NumericDegeneracy, match="orthonormal"):
+            mm.matroid_kernel(m)
+        with pytest.raises(NumericDegeneracy, match="orthonormal"):
+            mm.theorem_measure(m, theta)
+        with pytest.raises(ValueError, match="orthonormal") as info:
+            dpp.ProjectionKernel.from_frame(np.eye(3)[:, :2])
+        assert not isinstance(info.value, NumericDegeneracy)
 
 
 class TestCircuitBasisIdentity:

@@ -68,6 +68,16 @@ class TestBuildKernel:
         with pytest.raises(DegenerateForms, match="shape"):
             dg.build_kernel(g, measures.random_spec(short, variant, 1, 1, seed=3))
 
+    @pytest.mark.parametrize("variant", ["connected", "forest", "crsf", "mixed"])
+    def test_given_forms_of_another_graph_are_malformed(self, square_with_chord, variant):
+        # random_spec checks forms it is given against the graph it builds for
+        g = square_with_chord
+        short = dg.WeightedGraph(g.num_vertices, g.edges[:-1], g.weights[:-1])
+        drawn = measures.random_spec(short, variant, 1, 1, seed=3)
+        forms = {key: getattr(drawn, key) for key in measures.VARIANT_TABLE[variant].forms}
+        with pytest.raises(MalformedInput, match="one per edge"):
+            measures.random_spec(g, variant, 1, 1, seed=3, forms=forms)
+
     def test_trivial_connection_degenerate(self, triangle):
         with pytest.raises(DegenerateForms):
             dg.build_kernel(triangle, MeasureSpec.crsf(np.ones(3, dtype=complex)))
