@@ -380,10 +380,9 @@ class TestTheoremMeasure:
         assert ds.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.abs(ws / ws.sum() - ds).max() < 1e-9
 
-
     def test_failed_frame_check_is_a_numeric_degeneracy(self, monkeypatch):
-        # no frame passes a negative tolerance: the library's kernels raise
-        # NumericDegeneracy, while a frame from outside keeps its ValueError
+        # no frame passes a negative tolerance: a library kernel is then a
+        # numeric failure, as build_kernel's is (tests/test_measures.py)
         monkeypatch.setattr(dpp, "KERNEL_TOL", -1.0)
         m = _random_matroid(29)
         theta = np.random.default_rng(30).standard_normal((m.ground_size, 1))
@@ -391,9 +390,6 @@ class TestTheoremMeasure:
             mm.matroid_kernel(m)
         with pytest.raises(NumericDegeneracy, match="orthonormal"):
             mm.theorem_measure(m, theta)
-        with pytest.raises(ValueError, match="orthonormal") as info:
-            dpp.ProjectionKernel.from_frame(np.eye(3)[:, :2])
-        assert not isinstance(info.value, NumericDegeneracy)
 
 
 class TestCircuitBasisIdentity:
