@@ -28,9 +28,9 @@ mask = measures.sample_subgraph(g, kernel, seed=0)
 print(f"sample: edges {mask.indices}, connected={mask.is_connected()}, b1={mask.b1}")
 
 # the combinatorial weight of the sample agrees with its kernel density
-w = dg.cycle_weight(g, mask, theta)
+w = dg.subgraph_weight(g, spec, mask)
 fam = oracle.enumerate_family(g, "connected", k=2)
-total = sum(dg.cycle_weight(g, m, theta).value for m in fam)
+total = sum(dg.subgraph_weight(g, spec, m).value for m in fam)
 print(f"weight/total = {w.value / total:.6f}  vs  density = "
       f"{dpp.density(kernel, mask.indices):.6f}")
 

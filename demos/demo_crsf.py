@@ -25,14 +25,14 @@ labels = np.array(mask.labels)
 print(f"sample has {mask.b0} component(s), each with exactly one cycle: "
       f"{measures.sample_in_support(spec, mask)}")
 
-w = dg.crsf_weight(g, mask, connection)
+w = dg.subgraph_weight(g, spec, mask)
 print(f"sample weight = {w.monomial:.3f} (monomial) x {w.topological:.3f} "
       f"(product of |1 - holonomy|^2)")
 
 # the partition function is the twisted Laplacian determinant; check it
 # against the sum of weights over the whole family
 fam = oracle.enumerate_family(g, "crsf")
-total = sum(dg.crsf_weight(g, m, connection).value for m in fam)
+total = sum(dg.subgraph_weight(g, spec, m).value for m in fam)
 d_h = measures.twisted_differential(g, connection)
 omega = d_h * np.sqrt(g.weights)[:, None]
 det = float(np.linalg.det(omega.conj().T @ omega).real)
@@ -42,6 +42,7 @@ print(f"{len(fam)} cycle-rooted forests; weight sum {total:.6f} vs "
 # small holonomies suppress configurations: a connection close to 1 gives
 # tiny weights to short cycles
 weak = np.exp(1j * 0.01 * rng.standard_normal(g.num_edges))
-weak_total = sum(dg.crsf_weight(g, m, weak).value for m in fam)
+weak_spec = dg.MeasureSpec.crsf(weak)
+weak_total = sum(dg.subgraph_weight(g, weak_spec, m).value for m in fam)
 print(f"nearly flat connection shrinks the partition function to "
       f"{weak_total:.2e}")

@@ -32,13 +32,14 @@ print(f"dual trees   {dual}   (complements)")
 # one step up: a forest measure with one chain transports to a connected
 # measure with one form on the dual
 phi = measures.random_phi(g, 1, seed=13)
-dual_inv, cspec, pd = dg.dual_transport(g, faces, dg.MeasureSpec.forest_k(phi))
+fspec = dg.MeasureSpec.forest_k(phi)
+dual_inv, cspec, pd = dg.dual_transport(g, faces, fspec)
 prod_x = float(np.prod(g.weights))
 print("\nforest weight -> dual connected weight, per subgraph:")
 for f in oracle.enumerate_family(g, "forest", k=1):
     comp = dual_inv.mask(set(range(3)) - f.edge_set)
-    w_f = dg.forest_weight(g, f, phi).value
-    w_c = prod_x * dg.cycle_weight(dual_inv, comp, cspec.theta).value
+    w_f = dg.subgraph_weight(g, fspec, f).value
+    w_c = prod_x * dg.subgraph_weight(dual_inv, cspec, comp).value
     print(f"  forest {f.indices} weight {w_f:.6f}  =  dual cycle "
           f"{comp.indices} weight {w_c:.6f}")
 

@@ -115,9 +115,11 @@ class LinearMatroid:
         if not self.is_basis(basis):
             raise RankDeficient(f"{basis} is not a basis")
         rest = [j for j in range(self.ground_size) if j not in basis]
-        if not rest:
-            return np.zeros((self.ground_size, 0), dtype=complex)
-        return np.column_stack([self.fundamental_circuit_vector(basis, j) for j in rest])
+        # the circuits of fundamental_circuit_vector, from one solve of the square system
+        z = np.zeros((self.ground_size, len(rest)), dtype=complex)
+        z[list(basis)] = np.linalg.solve(self.image[list(basis)].T, -self.image[rest].T)
+        z[rest, np.arange(len(rest))] = 1.0
+        return z
 
 
 def _singular_values(a: np.ndarray) -> np.ndarray:

@@ -19,8 +19,10 @@ edge set in the omega basis:
              cycle pairings of theta coupled to the cut pairings of phi
 
 Everything that differs between the variants (sample size, frame builder,
-support law, weight evaluator, forms) is data in VARIANT_TABLE; the rest of
-the library reads a variant only through its entry there.
+support law, weight-free factor, forms) is data in VARIANT_TABLE; the rest of
+the library reads a variant only through its entry there.  A weight is the
+monomial x^S times that factor, into which no edge weight enters:
+stack_weight weighs a stack of support rows at any x, subgraph_weight one mask.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
-from .graph import SubgraphMask, WeightedGraph, cycle_space_basis
+from .graph import SubgraphMask, SubsetTopology, WeightedGraph, cycle_space_basis
 from .linalg import _annihilated, _complex_pairs, null_space, unit_columns
 
 
@@ -114,15 +116,20 @@ def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     return np.hstack([phi.conj(), cycle_space_basis(g)])
 
 
-def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
-    """Projection kernel of the requested measure, in the omega basis:
-    ProjectionKernel.complement_of the variant's weight-free complement basis."""
+def _variant_with_forms(g: WeightedGraph, spec: MeasureSpec) -> Variant:
+    """The spec's table entry, once its forms have the shapes k, l and g ask for."""
     variant = VARIANT_TABLE[spec.variant]
     for key, count in variant.forms.items():
         shape = (g.num_edges,) if count is None else (g.num_edges, getattr(spec, count))
         if np.shape(getattr(spec, key)) != shape:
             raise DegenerateForms(f"{spec.variant} measure needs {key} of shape {shape}")
-    return ProjectionKernel.complement_of(g.weights, variant.frame(g, spec))
+    return variant
+
+
+def build_kernel(g: WeightedGraph, spec: MeasureSpec) -> ProjectionKernel:
+    """Projection kernel of the requested measure, in the omega basis:
+    ProjectionKernel.complement_of the variant's weight-free complement basis."""
+    return ProjectionKernel.complement_of(g.weights, _variant_with_forms(g, spec).frame(g, spec))
 
 
 def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> SubgraphMask:
@@ -132,6 +139,32 @@ def sample_subgraph(g: WeightedGraph, kernel: ProjectionKernel, seed: int) -> Su
 def _monomial(x: np.ndarray, t) -> np.ndarray:
     """x^S of each row of a stack of subsets."""
     return x[t.subsets].prod(axis=-1)
+
+
+def stack_weight(g: WeightedGraph, spec: MeasureSpec, t: SubsetTopology,
+                 x: np.ndarray) -> np.ndarray:
+    """Weight x^S times the weight-free factor of each row of a SubsetTopology
+    stack of the spec's support, at edge weights x (any finite values, 0 too)."""
+    return _monomial(x, t) * VARIANT_TABLE[spec.variant].factor(g, t, spec)
+
+
+def subgraph_weight(g: WeightedGraph, spec: MeasureSpec, mask: SubgraphMask) -> SubgraphWeight:
+    """Weight of one subgraph of the spec's support, at the graph's weights:
+    the table's factor on the mask's one-row topology.  ValueError outside
+    the support.
+
+    The factor does not depend on the cycle basis, the component order or
+    the omitted component: any two choices differ by a unimodular change of
+    basis.
+    """
+    variant = _variant_with_forms(g, spec)
+    if not variant.support(mask, spec.k, spec.l):
+        raise ValueError(f"subgraph with b0={mask.b0}, b1={mask.b1} is outside "
+                         f"the {spec.variant} support")
+    t = mask.topology()
+    topo = float(variant.factor(g, t, spec)[0])
+    mono = float(_monomial(g.weights, t)[0])
+    return SubgraphWeight(topo * mono, mono, topo)
 
 
 def _cycle_factor(t, theta: np.ndarray) -> np.ndarray:
@@ -153,7 +186,7 @@ def _cut_factor(g: WeightedGraph, t, phi: np.ndarray) -> np.ndarray:
 
 
 def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
-    """prod |1 - holonomy|^2 over the cycles of each row; 0 where a component is a tree."""
+    """prod |1 - holonomy|^2 over the cycles of each row, one in each component."""
     h = np.asarray(connection, dtype=complex)
     closed = np.arange(t.cycles.shape[1]) < t.b1[:, None]
     cycles = t.cycles[closed]
@@ -162,7 +195,7 @@ def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
     hol = powers[cycles + 1, np.arange(len(h))].prod(axis=-1)
     factor = np.ones(closed.shape)
     factor[closed] = np.abs(1.0 - hol) ** 2
-    return np.where((t.component_b1 > 0).sum(axis=-1) == t.b0, factor.prod(axis=-1), 0.0)
+    return factor.prod(axis=-1)
 
 
 def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -190,58 +223,6 @@ def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np
     rows, absent = np.nonzero(np.arange(l) >= t.b1[:, None])
     m[rows, absent, k + absent] = 1.0
     return np.abs(np.linalg.det(m)) ** 2
-
-
-def _one_row(g: WeightedGraph, mask: SubgraphMask, factor) -> SubgraphWeight:
-    """A mask's weight from the code that weighs stacks, on its one-row topology."""
-    t = mask.topology()
-    topo = float(factor(t)[0])
-    mono = float(_monomial(g.weights, t)[0])
-    return SubgraphWeight(topo * mono, mono, topo)
-
-
-def cycle_weight(g: WeightedGraph, mask: SubgraphMask, theta: np.ndarray) -> SubgraphWeight:
-    """Weight x^K |det(theta_i(gamma_j))|^2 of a connected spanning subgraph.
-
-    The cycle basis choice does not matter: any two integral bases differ by
-    a unimodular change of basis.
-    """
-    theta = np.asarray(theta).reshape(g.num_edges, -1)
-    if not mask.is_connected():
-        raise ValueError("subgraph is not connected spanning")
-    if mask.b1 != theta.shape[1]:
-        raise ValueError(f"subgraph has b1={mask.b1}, expected {theta.shape[1]}")
-    return _one_row(g, mask, lambda t: _cycle_factor(t, theta))
-
-
-def component_cuts(g: WeightedGraph, mask: SubgraphMask) -> np.ndarray:
-    """Cut cochains separating each component of the mask except the last."""
-    inside = np.array(mask.labels)[:, None] == np.arange(mask.b0 - 1)
-    return g.coboundary @ inside.astype(int)
-
-
-def forest_weight(g: WeightedGraph, mask: SubgraphMask, phi: np.ndarray) -> SubgraphWeight:
-    """Weight x^F |det((phi_i, kappa_j))|^2 of a spanning forest.
-
-    The omitted component and the component order do not change the value.
-    """
-    phi = np.asarray(phi)
-    if mask.b1 != 0:
-        raise ValueError("subgraph has a cycle")
-    if mask.b0 != phi.shape[1] + 1:
-        raise ValueError(f"forest has {mask.b0} components, expected {phi.shape[1] + 1}")
-    return _one_row(g, mask, lambda t: _cut_factor(g, t, phi))
-
-
-def crsf_weight(g: WeightedGraph, mask: SubgraphMask, connection: np.ndarray) -> SubgraphWeight:
-    """Weight x^S prod |1 - holonomy(cycle)|^2 of a cycle-rooted forest.
-
-    Zero when some component is a tree; components with two or more
-    independent cycles are rejected outright.
-    """
-    if max(mask.component_b1) > 1:
-        raise ValueError("component with two or more independent cycles")
-    return _one_row(g, mask, lambda t: _holonomy_factor(t, connection))
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
@@ -285,9 +266,9 @@ class Variant:
     # component_b1 alone; elementwise, so it serves a SubgraphMask and a
     # SubsetTopology stack alike
     support: Callable[..., bool | np.ndarray]
-    # (g, stack, spec) -> the weight of each row of a SubsetTopology stack of
-    # the support, at the graph's weights
-    weight: Callable[..., np.ndarray]
+    # (g, stack, spec) -> the weight-free factor of each row of a
+    # SubsetTopology stack of the support: the weight divided by x^S
+    factor: Callable[..., np.ndarray]
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
     dual: str | None = None                       # variant under planar duality
 
@@ -297,19 +278,19 @@ VARIANT_TABLE: dict[str, Variant] = {
         size=lambda n, k, l: n - 1,
         frame=lambda g, spec: cycle_space_basis(g),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == 0),
-        weight=lambda g, t, spec: _monomial(g.weights, t),
+        factor=lambda g, t, spec: np.ones(len(t)),
         forms={}, dual="ust"),
     "connected": Variant(
         size=lambda n, k, l: n - 1 + k,
         frame=lambda g, spec: _annihilated(cycle_space_basis(g), spec.theta),
         support=lambda t, k, l: (t.b0 == 1) & (t.b1 == k),
-        weight=lambda g, t, spec: _monomial(g.weights, t) * _cycle_factor(t, spec.theta),
+        factor=lambda g, t, spec: _cycle_factor(t, spec.theta),
         forms={"theta": "k"}, dual="forest"),
     "forest": Variant(
         size=lambda n, k, l: n - 1 - k,
         frame=lambda g, spec: _with_chains(g, spec.phi),
         support=lambda t, k, l: (t.b0 == k + 1) & (t.b1 == 0),
-        weight=lambda g, t, spec: _monomial(g.weights, t) * _cut_factor(g, t, spec.phi),
+        factor=lambda g, t, spec: _cut_factor(g, t, spec.phi),
         forms={"phi": "k"}, dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
@@ -317,16 +298,14 @@ VARIANT_TABLE: dict[str, Variant] = {
                                          "the twisted differential must be injective"),
         # b1 = b0 cycles with at most one per component: exactly one in each
         support=lambda t, k, l: (t.b1 == t.b0) & (np.max(t.component_b1, axis=-1) <= 1),
-        weight=lambda g, t, spec: (_monomial(g.weights, t)
-                                   * _holonomy_factor(t, spec.connection)),
+        factor=lambda g, t, spec: _holonomy_factor(t, spec.connection),
         forms={"connection": None}),
     "mixed": Variant(
         size=lambda n, k, l: n - 1 - k + l,
         frame=lambda g, spec: _annihilated(_with_chains(g, spec.phi), spec.theta),
         support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
                                  & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
-        weight=lambda g, t, spec: (_monomial(g.weights, t)
-                                   * _mixed_factor(g, t, spec.phi, spec.theta)),
+        factor=lambda g, t, spec: _mixed_factor(g, t, spec.phi, spec.theta),
         forms={"phi": "k", "theta": "l"}),
 }
 VARIANTS = tuple(VARIANT_TABLE)

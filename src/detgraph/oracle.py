@@ -124,7 +124,8 @@ def compare_measure(g: WeightedGraph, spec: measures.MeasureSpec,
         # np.maximum keeps a nan error, which then fails the report
         report.max_density_error = float(np.maximum(report.max_density_error, outside))
         report.support_mismatches += map(tuple, block[~member & (d > tolerance)].tolist())
-        members.append((block[member], variant.weight(g, topology.take(member), spec),
+        members.append((block[member],
+                        measures.stack_weight(g, spec, topology.take(member), g.weights),
                         d[member]))
     subsets, weights, dens = (np.concatenate(a) for a in zip(*members))
     total = weights.sum()
@@ -181,14 +182,13 @@ def forest_poly_sum(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> 
 def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSpec) -> float:
     """Defining sum of a measure's partition function at weights x.
 
-    Each member's weight at unit weights times its monomial in x, so a zero
-    weight, which a WeightedGraph refuses, is a point of the sum too.
+    Each member's weight-free factor times its monomial in x, with x never
+    put into a WeightedGraph, so a zero weight, which a WeightedGraph
+    refuses, is a point of the sum too.
     """
     x = np.asarray(g.weights if x is None else x, dtype=float)
-    unit = WeightedGraph(g.num_vertices, g.edges)
-    fam = enumerate_family(unit, spec.variant, k=spec.k)
-    weights = measures.VARIANT_TABLE[spec.variant].weight(unit, fam.topology, spec)
-    return float((weights * x[fam.subsets].prod(axis=1)).sum())
+    fam = enumerate_family(g, spec.variant, k=spec.k)
+    return float(measures.stack_weight(g, spec, fam.topology, x).sum())
 
 
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,

@@ -183,9 +183,9 @@ def test_criterion_06_planar_duality():
             # per-subgraph correspondence under complementation
             prod_x = float(np.prod(g.weights))
             for f in oracle.enumerate_family(g, "forest", k=k):
-                w_f = dg.forest_weight(g, f, phi).value
+                w_f = dg.subgraph_weight(g, dg.MeasureSpec.forest_k(phi), f).value
                 comp = dual_inv.mask(set(range(g.num_edges)) - f.edge_set)
-                w_c = dg.cycle_weight(dual_inv, comp, spec.theta).value
+                w_c = dg.subgraph_weight(dual_inv, spec, comp).value
                 scale = max(abs(w_f), abs(prod_x * w_c), 1e-30)
                 worst_weight = max(worst_weight, abs(w_f - prod_x * w_c) / scale)
             count += 1

@@ -16,3 +16,9 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # a name deleted from the package must leave __all__ too
+    import detgraph
+    assert [name for name in detgraph.__all__ if not hasattr(detgraph, name)] == []

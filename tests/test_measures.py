@@ -97,14 +97,14 @@ class TestCycleWeight:
     def test_spanning_tree_weight_is_monomial(self, square_with_chord):
         g = square_with_chord
         tree = dg.min_index_spanning_tree(g)
-        w = dg.cycle_weight(g, tree, np.zeros((g.num_edges, 0)))
+        w = dg.subgraph_weight(g, MeasureSpec.connected_k(np.zeros((g.num_edges, 0))), tree)
         assert w.value == pytest.approx(tree.weight_monomial())
         assert w.topological == pytest.approx(1.0)
 
     def test_triangle_whole_graph(self, triangle):
         theta = np.zeros((3, 1), dtype=complex)
         theta[0, 0] = 1.0  # dual basis vector of the first edge
-        w = dg.cycle_weight(triangle, triangle.full_mask(), theta)
+        w = dg.subgraph_weight(triangle, MeasureSpec.connected_k(theta), triangle.full_mask())
         assert w.value == pytest.approx(1.0)  # |theta(cycle)|^2 * x1 x2 x3
 
     def test_cycle_basis_choice_is_irrelevant(self):
@@ -112,7 +112,7 @@ class TestCycleWeight:
         g = random_connected_graph(rng, 8, min_b1=2)
         kmask = g.full_mask()
         theta = _theta(g, kmask.b1, seed=5)
-        w = dg.cycle_weight(g, kmask, theta)
+        w = dg.subgraph_weight(g, MeasureSpec.connected_k(theta), kmask)
         # recompute against a different integral cycle basis: fundamental
         # cycles of the lexicographically largest spanning tree
         from detgraph.graph import fundamental_cycle
@@ -125,19 +125,21 @@ class TestCycleWeight:
         assert w.value == pytest.approx(alt, rel=1e-12)
 
     def test_wrong_betti_raises(self, triangle):
-        with pytest.raises(ValueError, match="b1"):
-            dg.cycle_weight(triangle, triangle.full_mask(), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="outside the connected support"):
+            dg.subgraph_weight(triangle, MeasureSpec.connected_k(np.zeros((3, 2))),
+                               triangle.full_mask())
 
     def test_not_connected_raises(self, triangle):
-        with pytest.raises(ValueError, match="connected"):
-            dg.cycle_weight(triangle, triangle.mask([0]), np.zeros((3, 0)))
+        with pytest.raises(ValueError, match="outside the connected support"):
+            dg.subgraph_weight(triangle, MeasureSpec.connected_k(np.zeros((3, 0))),
+                               triangle.mask([0]))
 
 
 class TestForestWeight:
     def test_spanning_tree_weight_is_monomial(self, square_with_chord):
         g = square_with_chord
         tree = dg.min_index_spanning_tree(g)
-        w = dg.forest_weight(g, tree, np.zeros((g.num_edges, 0)))
+        w = dg.subgraph_weight(g, MeasureSpec.forest_k(np.zeros((g.num_edges, 0))), tree)
         assert w.value == pytest.approx(tree.weight_monomial())
 
     def test_triangle_single_edge(self, triangle):
@@ -145,8 +147,9 @@ class TestForestWeight:
         # with coefficients -1 on e1 and +1 on e2; phi = chain of e1
         phi = np.zeros((3, 1), dtype=complex)
         phi[1, 0] = 1.0
-        w = dg.forest_weight(triangle, triangle.mask([0]), phi)
-        kappa = measures.component_cuts(triangle, triangle.mask([0]))
+        w = dg.subgraph_weight(triangle, MeasureSpec.forest_k(phi), triangle.mask([0]))
+        # the cut of the first component, as the forest factor forms it
+        kappa = triangle.coboundary @ (np.array(triangle.mask([0]).labels) == 0)[:, None]
         assert abs(kappa[1, 0]) == 1
         assert w.value == pytest.approx(abs(kappa[1, 0]) ** 2 * triangle.weights[0])
 
@@ -158,7 +161,7 @@ class TestForestWeight:
         mask = g.mask(set(forest.edge_set) - set(drop))
         assert mask.b0 == 3 and mask.b1 == 0
         phi = _phi(g, 2, seed=7)
-        w = dg.forest_weight(g, mask, phi)
+        w = dg.subgraph_weight(g, MeasureSpec.forest_k(phi), mask)
         # recompute with cuts omitting the first component instead of the last
         labels = np.array(mask.labels)
         cuts = []
@@ -177,24 +180,29 @@ class TestForestWeight:
         labels = mask.labels
         expected = [[int(labels[h] == c) - int(labels[t] == c) for c in range(mask.b0 - 1)]
                     for t, h in g.edges]
-        assert measures.component_cuts(g, mask).tolist() == expected
+        # the forest factor pairs phi with these cuts, a loop's coefficient 0 included
+        phi = _phi(g, mask.b0 - 1, seed=10)
+        w = dg.subgraph_weight(g, MeasureSpec.forest_k(phi), mask)
+        alt = abs(np.linalg.det(phi.T @ np.array(expected))) ** 2
+        assert w.topological == pytest.approx(alt, rel=1e-12)
 
     def test_cycle_raises(self, triangle):
-        with pytest.raises(ValueError, match="cycle"):
-            dg.forest_weight(triangle, triangle.full_mask(), np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="outside the forest support"):
+            dg.subgraph_weight(triangle, MeasureSpec.forest_k(np.zeros((3, 2))),
+                               triangle.full_mask())
 
 
 class TestCrsfWeight:
     def test_trivial_connection_gives_zero(self, triangle):
         g = dg.WeightedGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
         mask = g.mask([0, 1, 2])
-        w = dg.crsf_weight(g, mask, np.ones(4, dtype=complex))
+        w = dg.subgraph_weight(g, MeasureSpec.crsf(np.ones(4, dtype=complex)), mask)
         assert w.value == 0.0
 
     def test_holonomy_minus_one(self, triangle):
         # |1 - (-1)|^2 = 4 on a single unicyclic component
         h = np.array([-1.0, 1.0, 1.0], dtype=complex)
-        w = dg.crsf_weight(triangle, triangle.full_mask(), h)
+        w = dg.subgraph_weight(triangle, MeasureSpec.crsf(h), triangle.full_mask())
         assert w.topological == pytest.approx(4.0)
 
     def test_tree_component_gives_zero(self):
@@ -203,15 +211,16 @@ class TestCrsfWeight:
         mask = g.mask([0, 1, 2, 3])  # triangle + pendant: pendant comp is.. same comp
         # build a genuinely acyclic component: 4 vertices, edges {0,3} only
         mask2 = g.mask([0, 3])
-        # not |V| edges, but weight logic still applies componentwise
-        w = dg.crsf_weight(g, mask2, h)
-        assert w.value == 0.0
-        assert dg.crsf_weight(g, mask, h).value > 0.0
+        # a tree component is outside the support, which alone is weighed
+        with pytest.raises(ValueError, match="outside the crsf support"):
+            dg.subgraph_weight(g, MeasureSpec.crsf(h), mask2)
+        assert dg.subgraph_weight(g, MeasureSpec.crsf(h), mask).value > 0.0
 
     def test_rejects_multicycle_component(self):
         g = dg.WeightedGraph(2, [(0, 1), (0, 1), (1, 0)])
-        with pytest.raises(ValueError, match="two or more"):
-            dg.crsf_weight(g, g.full_mask(), measures.random_connection(g, 2))
+        with pytest.raises(ValueError, match="outside the crsf support"):
+            dg.subgraph_weight(g, MeasureSpec.crsf(measures.random_connection(g, 2)),
+                               g.full_mask())
 
     def test_forman_determinant_expansion(self):
         # sum of weights over all spanning edge sets of size |V| equals the
@@ -229,8 +238,38 @@ class TestCrsfWeight:
         for subset in itertools.combinations(range(g.num_edges), g.num_vertices):
             mask = g.mask(subset)
             if support(mask, 0, 0):
-                total += dg.crsf_weight(g, mask, h).value
+                total += dg.subgraph_weight(g, MeasureSpec.crsf(h), mask).value
         assert lap_det == pytest.approx(total, rel=1e-9)
+
+
+class TestSubgraphWeight:
+    # one per-mask weight for every variant, read from the variant table; the
+    # masks outside: a unicyclic subgraph for ust and mixed (1, 1), a spanning
+    # tree for connected and forest, a 2-forest (two tree components) for crsf
+    CASES = [("ust", 0, 0, ("connected", 1)), ("connected", 1, 0, ("ust", 0)),
+             ("forest", 1, 0, ("ust", 0)), ("crsf", 0, 0, ("forest", 1)),
+             ("mixed", 1, 1, ("connected", 1))]
+
+    @staticmethod
+    def _grid_and_spec(variant, k, l):
+        rng = np.random.default_rng(3)
+        g = dg.WeightedGraph(9, dg.grid_graph(3, 3).edges, rng.uniform(0.5, 2.0, 12))
+        return g, measures.random_spec(g, variant, k, l, seed=4)
+
+    @pytest.mark.parametrize("variant,k,l,outside", CASES, ids=[c[0] for c in CASES])
+    def test_normalized_weights_are_the_densities(self, variant, k, l, outside):
+        g, spec = self._grid_and_spec(variant, k, l)
+        fam = oracle.enumerate_family(g, variant, k, l)
+        weights = np.array([dg.subgraph_weight(g, spec, m).value for m in fam])
+        dens = dg.density(dg.build_kernel(g, spec), fam.subsets)
+        assert np.abs(weights / weights.sum() - dens).max() < 1e-9
+
+    @pytest.mark.parametrize("variant,k,l,outside", CASES, ids=[c[0] for c in CASES])
+    def test_mask_outside_the_support_raises(self, variant, k, l, outside):
+        g, spec = self._grid_and_spec(variant, k, l)
+        mask = oracle.enumerate_family(g, *outside)[0]
+        with pytest.raises(ValueError, match=f"outside the {variant} support"):
+            dg.subgraph_weight(g, spec, mask)
 
 
 class TestMeasureOracle:
@@ -281,9 +320,9 @@ class TestDualTransport:
         dual_inv, spec, pd = dg.dual_transport(g, faces, MeasureSpec.forest_k(phi))
         prod_x = float(np.prod(g.weights))
         for f in oracle.enumerate_family(g, "forest", k=1):
-            w_f = dg.forest_weight(g, f, phi).value
+            w_f = dg.subgraph_weight(g, MeasureSpec.forest_k(phi), f).value
             comp = dual_inv.mask(set(range(3)) - f.edge_set)
-            w_c = dg.cycle_weight(dual_inv, comp, spec.theta).value
+            w_c = dg.subgraph_weight(dual_inv, spec, comp).value
             # dual monomial at inverted weights: x^(complement) / prod(x)
             assert w_f == pytest.approx(prod_x * w_c, rel=1e-10)
 
@@ -357,8 +396,8 @@ class TestEdgeOrderInvariance:
         theta2 = theta.copy()
         theta2[2, :] *= -1
         for m in oracle.enumerate_family(g, "connected", k=1):
-            w1 = dg.cycle_weight(g, m, theta).value
-            w2 = dg.cycle_weight(g2, g2.mask(m.indices), theta2).value
+            w1 = dg.subgraph_weight(g, MeasureSpec.connected_k(theta), m).value
+            w2 = dg.subgraph_weight(g2, MeasureSpec.connected_k(theta2), g2.mask(m.indices)).value
             assert w2 == pytest.approx(w1, rel=1e-10)
 
 

@@ -322,14 +322,14 @@ class TestComplexContinuation:
 
         total_c = 0j
         for m in oracle.enumerate_family(g, "connected", k=1):
-            topo = dg.cycle_weight(g, m, theta).topological
+            topo = dg.subgraph_weight(g, dg.MeasureSpec.connected_k(theta), m).topological
             total_c += topo * np.prod(z[list(m.edge_set)])
         det_c = dg.generalized_C(g, z, theta)
         assert abs(det_c - total_c) < 1e-9 * abs(total_c)
 
         total_a = 0j
         for m in oracle.enumerate_family(g, "forest", k=1):
-            topo = dg.forest_weight(g, m, phi).topological
+            topo = dg.subgraph_weight(g, dg.MeasureSpec.forest_k(phi), m).topological
             mono = np.prod(z[list(m.edge_set)]) if m.edge_set else 1.0
             total_a += topo * mono
         det_a = dg.generalized_A(g, z, phi)
