@@ -137,18 +137,25 @@ class WeightedGraph:
         return self.num_edges - self.num_vertices + 1
 
     @cached_property
-    def boundary(self) -> np.ndarray:
-        """Boundary matrix: column of edge e is head(e) - tail(e); 0 for loops."""
-        d = np.zeros((self.num_vertices, self.num_edges), dtype=int)
-        for j, (t, h) in enumerate(self.edges):
-            d[h, j] += 1
-            d[t, j] -= 1
-        return d
+    def ends(self) -> np.ndarray:
+        """(|E|, 2) read-only array of the (tail, head) of each edge: the one
+        array the graph keeps besides its weights, so it holds O(|E|) state."""
+        ends = np.array(self.edges, dtype=np.intp).reshape(self.num_edges, 2)
+        ends.setflags(write=False)
+        return ends
 
-    @cached_property
+    @property
     def coboundary(self) -> np.ndarray:
-        """Matrix of the differential on vertex functions, in the dual edge basis."""
-        return self.boundary.T.copy()
+        """Matrix of the differential on vertex functions, in the dual edge basis:
+        row e is head(e) - tail(e), 0 for a loop.  Formed on each read, a fresh
+        array; a call that needs it twice reads it once."""
+        return _incidence(self, int)
+
+    @property
+    def boundary(self) -> np.ndarray:
+        """Boundary matrix: column of edge e is head(e) - tail(e); 0 for loops.
+        The transpose of a fresh coboundary."""
+        return self.coboundary.T
 
     def inverted_weights(self) -> "WeightedGraph":
         return WeightedGraph(self.num_vertices, self.edges, 1.0 / self.weights)
@@ -180,6 +187,17 @@ class WeightedGraph:
             raise MalformedInput("graph JSON needs integer num_vertices, tail and head "
                                  "and numeric weights")
         return WeightedGraph(num_vertices, edges, weights)
+
+
+def _incidence(g: WeightedGraph, dtype) -> np.ndarray:
+    """The coboundary of g in the given dtype: one scatter of +1 onto each
+    edge's head and -1 onto its tail, which cancel on a loop."""
+    m = np.zeros((g.num_edges, g.num_vertices), dtype=dtype)
+    flat = m.reshape(-1)  # a view: flat index of (e, v) is e |V| + v
+    rows = np.arange(0, m.size, g.num_vertices)
+    flat[rows + g.ends[:, 1]] = 1
+    flat[rows + g.ends[:, 0]] -= 1
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +337,7 @@ def subset_topology(g: WeightedGraph, subsets: np.ndarray) -> SubsetTopology:
     n, s = subsets.shape
     nv, ne = g.num_vertices, g.num_edges
     dtype = _index_dtype(g)
-    ends = np.array(g.edges, dtype=np.intp).reshape(ne, 2)
+    ends = g.ends
     base = np.arange(n) * nv  # flat index of each row's vertex 0
     labels = np.tile(np.arange(nv, dtype=dtype), (n, 1))
     root = np.zeros((n, nv * ne), dtype=np.int8)  # row n: the chains of its vertices in turn
@@ -420,7 +438,7 @@ class _RootedForest:
         edges = self.graph.edges
         below = self._below(np.eye(self.graph.num_vertices, dtype=int))
         side = below[[v for e in forest_edges for v in edges[e] if self.parent_edge[v] == e]]
-        tails, heads = np.array(edges, dtype=int).reshape(-1, 2).T
+        tails, heads = self.graph.ends.T
         cuts = side[:, heads] - side[:, tails]
         return (cuts * cuts[np.arange(len(forest_edges)), list(forest_edges)][:, None]).T
 

@@ -114,6 +114,10 @@ class LinearMatroid:
         basis = tuple(sorted(basis))
         if not self.is_basis(basis):
             raise RankDeficient(f"{basis} is not a basis")
+        return self._circuits(basis)
+
+    def _circuits(self, basis: tuple[int, ...]) -> np.ndarray:
+        """fundamental_circuit_basis of an ascending basis that is not checked."""
         rest = [j for j in range(self.ground_size) if j not in basis]
         # the circuits of fundamental_circuit_vector, from one solve of the square system
         z = np.zeros((self.ground_size, len(rest)), dtype=complex)
@@ -151,8 +155,12 @@ def change_of_basis_det(m: LinearMatroid, z_columns: np.ndarray,
     fundamental circuit vectors, and equals the minor of z_columns on the
     complement rows when the family lies in the kernel.
     """
-    z = np.asarray(z_columns, dtype=complex)
-    zt = m.fundamental_circuit_basis(tuple(sorted(basis)))
+    return _det_ratio(m, np.asarray(z_columns, dtype=complex),
+                      m.fundamental_circuit_basis(tuple(sorted(basis))))
+
+
+def _det_ratio(m: LinearMatroid, z: np.ndarray, zt: np.ndarray) -> complex:
+    """det(Z^H z) / det(Z^H zt), 1 for families of no columns."""
     if zt.shape[1] != z.shape[1]:
         raise ValueError("family size must equal the corank")
     if zt.shape[1] == 0:
@@ -366,15 +374,17 @@ def circuit_basis_identity_check(m: LinearMatroid,
     Every coefficient of the full wedge of the kernel family (a minor on b
     rows) must vanish unless the complementary rows form a basis, where it
     must equal the change-of-basis determinant to the fundamental basis,
-    sign included.
+    sign included.  Basis membership is read off the one stacked scan of
+    `m.bases`, so no complement takes an SVD of its own.
     """
     z = m.kernel_basis if z_columns is None else np.asarray(z_columns, dtype=complex)
     b = z.shape[1]
+    bases = set(m.bases)
     worst, checked = 0.0, 0
     for rows in itertools.combinations(range(m.ground_size), b):
         coeff = complex(np.linalg.det(z[list(rows), :])) if b else 1.0 + 0j
         complement = tuple(i for i in range(m.ground_size) if i not in set(rows))
-        expected = change_of_basis_det(m, z, complement) if m.is_basis(complement) else 0j
+        expected = _det_ratio(m, z, m._circuits(complement)) if complement in bases else 0j
         worst = max(worst, abs(coeff - expected))
         checked += 1
     return IdentityReport(worst, checked)

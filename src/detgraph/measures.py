@@ -36,7 +36,7 @@ import numpy as np
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
-from .graph import SubgraphMask, SubsetTopology, WeightedGraph, cycle_space_basis
+from .graph import SubgraphMask, SubsetTopology, WeightedGraph, _incidence, cycle_space_basis
 from .linalg import _annihilated, _complex_pairs, null_space, unit_columns
 
 
@@ -101,9 +101,9 @@ def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray
         raise ValueError("one connection value per edge required")
     if np.any(np.abs(np.abs(h) - 1.0) > 1e-12):
         raise ValueError("connection values must have unit modulus")
-    m = g.coboundary.astype(complex)
+    m = _incidence(g, complex)
     # one scatter onto the tails: -1 becomes -h_e, and a loop's 0 becomes 1 - h_e
-    m[np.arange(g.num_edges), [t for t, _ in g.edges]] += 1.0 - h
+    m[np.arange(g.num_edges), g.ends[:, 0]] += 1.0 - h
     return m
 
 
@@ -180,9 +180,11 @@ def _cycle_factor(t, theta: np.ndarray) -> np.ndarray:
 
 def _cut_factor(g: WeightedGraph, t, phi: np.ndarray) -> np.ndarray:
     """|det((phi_i, kappa_j))|^2 over the cuts of a stack of b0 = k + 1 rows,
-    kappa_j separating component j: every component but the last."""
-    inside = t.labels[..., None] == np.arange(phi.shape[1])
-    return np.abs(np.linalg.det(phi.T @ (g.coboundary @ inside.astype(int)))) ** 2
+    kappa_j separating component j: every component but the last, the
+    indicator of its vertices differenced across each edge."""
+    inside = (t.labels[..., None] == np.arange(phi.shape[1])).astype(int)
+    tails, heads = g.ends.T
+    return np.abs(np.linalg.det(phi.T @ (inside[:, heads] - inside[:, tails]))) ** 2
 
 
 def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
@@ -210,11 +212,12 @@ def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np
     cycles = np.pad(cycles, ((0, 0), (0, l - cycles.shape[1]), (0, 0)))
     # (L + U U^T) f = -d_F^T theta, L the forest Laplacian and U the component
     # indicators: nonsingular, solved by the f that sums to 0 on each component
-    incidence = g.coboundary[t.subsets] * t.forest[..., None]
+    d = g.coboundary
+    incidence = d[t.subsets] * t.forest[..., None]
     same = t.labels[:, :, None] == t.labels[:, None, :]
     f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
                         -np.swapaxes(incidence, 1, 2) @ theta[t.subsets])
-    p = phi.T @ g.coboundary
+    p = phi.T @ d
     kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
     m = np.zeros((len(t), k + l, k + l), dtype=np.result_type(phi, theta, float))
     m[:, :l, :l] = np.einsum("nje,ea->nja", cycles, theta)

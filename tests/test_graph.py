@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import detgraph as dg
-from detgraph import oracle
+from detgraph import measures, oracle, polynomials
 from detgraph.errors import (EnumerationCapExceeded, ForestHasCycle,
                              NotASpanningTree)
 from detgraph.graph import components_of
@@ -56,6 +56,49 @@ class TestBoundary:
     def test_self_loop_column_is_zero(self):
         g = dg.WeightedGraph(2, [(0, 1), (1, 1)])
         assert g.boundary[:, 1].tolist() == [0, 0]
+
+    def test_multigraph_matches_per_edge_definition(self):
+        # a loop, two parallel edges 0 -> 1 and an antiparallel 1 -> 0
+        edges = [(0, 1), (1, 0), (0, 1), (1, 2), (2, 2), (2, 3), (3, 0), (3, 3)]
+        g = dg.WeightedGraph(4, edges)
+        expected = np.zeros((4, len(edges)), dtype=int)
+        for j, (t, h) in enumerate(edges):
+            expected[h, j] += 1
+            expected[t, j] -= 1
+        assert np.array_equal(g.boundary, expected)
+        assert not g.boundary[:, [4, 7]].any()
+        assert np.array_equal(g.coboundary, g.boundary.T)
+
+    def test_reads_are_independent(self):
+        g = dg.grid_graph(2, 3)
+        d, dt = g.boundary, g.coboundary
+        d[:] = 7
+        dt[:] = 7
+        assert np.array_equal(g.boundary, g.coboundary.T)
+        assert set(np.unique(g.boundary)) == {-1, 0, 1}
+
+
+class TestGraphState:
+    def test_graph_keeps_linear_state_after_every_route(self):
+        # every kernel and polynomial forms its incidence matrices per call,
+        # so the graph holds O(|E|) arrays, not the O(|V| |E|) matrices
+        rng = np.random.default_rng(64)
+        grid = dg.grid_graph(15, 15)
+        g = dg.WeightedGraph(grid.num_vertices, grid.edges, rng.uniform(0.5, 2.0, grid.num_edges))
+        for v in measures.VARIANTS:
+            measures.build_kernel(g, measures.random_spec(g, v, 2, 1, seed=1))
+        x = g.weights
+        q = np.zeros(g.num_vertices)
+        q[0], q[-1] = 1.0, -1.0
+        polynomials.kirchhoff_T(g, x)
+        polynomials.symanzik_psi1(g, x)
+        polynomials.symanzik_psi2(g, x, q)
+        polynomials.generalized_C(g, x, measures.random_theta(g, 2, 2))
+        polynomials.generalized_A(g, x, measures.random_phi(g, 2, 3))
+        polynomials.green_height_pairing(g, x, q)
+        polynomials.torus_volume(g, x)
+        held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))
+        assert held <= 64 * g.num_edges
 
 
 class TestFundamentalCycle:
