@@ -9,9 +9,9 @@ product becomes the standard one, so determinantal marginals are literal
 matrix entries.
 
 Frames: `weighted_frame` is the one QR of every kernel, on a weight-free complement
-basis at inverted weights.  Rank decisions: `null_space` makes those of the forms
-and chains, weight-free; `orthonormalize` that of a conditioned kernel, and the
-matroid module reads the rank of R from its singular values.
+basis at inverted weights.  Rank decisions: `check_pivots` makes those of the forms
+and chains on the R factor of a weight-free QR; `orthonormalize` that of a conditioned
+kernel, and the matroid module reads the rank of R from its singular values.
 Forms, chains and frames keep the dtype of their input, np.result_type(input,
 float): real forms give real frames and complex forms complex ones.
 """
@@ -57,19 +57,25 @@ def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 
 def null_space(a: np.ndarray, what: str) -> np.ndarray:
-    """Orthonormal basis of null(a^H) from the complete QR of a weight-free `a`:
-    DegenerateForms, stating `what` and the smallest pivot, unless every |r_jj|
-    exceeds RANK_RTOL.  `a` pairs integer cycles, cuts or incidences with unit
-    forms, so a pivot is of order one, or of rounding size on a dependent column."""
+    """Orthonormal basis of null(a^H) from the complete QR of a weight-free `a`
+    whose columns pass check_pivots."""
     rows, cols = a.shape
     if cols == 0:
         return np.eye(rows, dtype=np.result_type(a, float))
     q, r = np.linalg.qr(a, mode="complete")
+    check_pivots(r, what)
+    return q[:, cols:].copy()  # not a view that keeps all of q alive
+
+
+def check_pivots(r: np.ndarray, what: str) -> None:
+    """DegenerateForms, stating `what` and the smallest pivot, unless every |r_jj| of the
+    R factor of a weight-free `a` exceeds RANK_RTOL.  As `a` pairs integer cycles, cuts or
+    incidences with unit forms, a pivot is of order one, or of rounding size if dependent."""
+    rows, cols = r.shape
     margin = np.abs(np.diagonal(r)).min() if cols <= rows else 0.0
     if not margin > RANK_RTOL:
         raise DegenerateForms(f"{what} (rank below {cols}: smallest pivot {margin:.1e}, "
                               f"at most {RANK_RTOL:.0e})")
-    return q[:, cols:].copy()  # not a view that keeps all of q alive
 
 
 def _annihilated(basis: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -128,9 +134,7 @@ def bilinear_gram_det(x: np.ndarray, vectors: np.ndarray) -> complex:
     if not 0 < v.shape[1] <= v.shape[0]:
         return complex(v.shape[1] == 0)
     v = v.astype(np.result_type(x, v, float), copy=False)
-    # optimize=True contracts through BLAS, ~40x faster than the plain loop at 420 edges
-    m = np.einsum("e,ei,ej->ij", x, v.conj(), v, optimize=True)
-    return complex(np.linalg.det(m))
+    return complex(np.linalg.det((v.conj().T * x) @ v))
 
 
 def _complex_pairs(value, depth: int, what: str) -> np.ndarray:

@@ -2,12 +2,11 @@
 
 A matroid is represented by a matrix R over the ground set columns; a subset
 is independent when its columns are.  The kernel Z of R encodes the
-dependencies; fundamental circuit vectors (unit coefficient on the added
-element, support inside the basis) give the change-of-basis determinants
-that drive densities, conditionals, and the partition functions.  The edge
-weights enter through the weighted inner product on the dual side, exactly
-as for graphs, whose circular matroid (R = boundary matrix) reproduces the
-spanning-tree measure.
+dependencies: its squared minors on basis complements give the densities, and
+those of the kernel restricted to a set K the conditional laws inside K and the
+weights of the k-extension measure.  The edge weights enter through the
+weighted inner product on the dual side, exactly as for graphs, whose circular
+matroid (R = boundary matrix) reproduces the spanning-tree measure.
 """
 
 from __future__ import annotations
@@ -97,18 +96,6 @@ class LinearMatroid:
             scan.append((block[keep], s[keep]))
         return tuple(np.concatenate(a) for a in zip(*scan))
 
-    def fundamental_circuit_vector(self, basis: tuple[int, ...], j: int) -> np.ndarray:
-        """Kernel vector with coefficient 1 on j and support inside basis + {j}."""
-        basis = tuple(sorted(basis))
-        if j in basis:
-            raise ValueError("element already belongs to the basis")
-        # in the coordinates of `image` the basis columns are a square system
-        coeff = np.linalg.solve(self.image[list(basis)].T, -self.image[j])
-        v = np.zeros(self.ground_size, dtype=complex)
-        v[list(basis)] = coeff
-        v[j] = 1.0
-        return v
-
     def fundamental_circuit_basis(self, basis: tuple[int, ...]) -> np.ndarray:
         """Kernel basis indexed by the complement of a basis, as columns."""
         basis = tuple(sorted(basis))
@@ -119,7 +106,8 @@ class LinearMatroid:
     def _circuits(self, basis: tuple[int, ...]) -> np.ndarray:
         """fundamental_circuit_basis of an ascending basis that is not checked."""
         rest = [j for j in range(self.ground_size) if j not in basis]
-        # the circuits of fundamental_circuit_vector, from one solve of the square system
+        # the column of j has coefficient 1 on j, and its support inside the basis
+        # solves one square system in the coordinates of `image`
         z = np.zeros((self.ground_size, len(rest)), dtype=complex)
         z[list(basis)] = np.linalg.solve(self.image[list(basis)].T, -self.image[rest].T)
         z[rest, np.arange(len(rest))] = 1.0
@@ -146,40 +134,30 @@ def from_matrix(matrix: np.ndarray, weights: np.ndarray | None = None) -> Linear
     return LinearMatroid(matrix, weights)
 
 
-def change_of_basis_det(m: LinearMatroid, z_columns: np.ndarray,
-                        basis: tuple[int, ...]) -> complex:
-    """det of the kernel family expressed in the fundamental basis of `basis`.
-
-    Both families are expanded in the orthonormal kernel basis Z, so the
-    change of basis is det(Z^H z) / det(Z^H zt); this cross-checks the
-    fundamental circuit vectors, and equals the minor of z_columns on the
-    complement rows when the family lies in the kernel.
-    """
-    return _det_ratio(m, np.asarray(z_columns, dtype=complex),
-                      m.fundamental_circuit_basis(tuple(sorted(basis))))
-
-
 def _det_ratio(m: LinearMatroid, z: np.ndarray, zt: np.ndarray) -> complex:
-    """det(Z^H z) / det(Z^H zt), 1 for families of no columns."""
-    if zt.shape[1] != z.shape[1]:
-        raise ValueError("family size must equal the corank")
+    """det(Z^H z) / det(Z^H zt) of two families of corank columns, 1 for none."""
     if zt.shape[1] == 0:
         return 1.0 + 0j
     k = m.kernel_basis.conj().T
     return complex(np.linalg.det(k @ z) / np.linalg.det(k @ zt))
 
 
-def minor_on_complement(z: np.ndarray, basis, within) -> complex:
-    """Minor of the kernel family z on the rows of `within` outside `basis`.
+def _rows(subsets) -> np.ndarray:
+    """Ascending index rows: (1, size) for one subset, (N, size) for a stack of them."""
+    one = np.ndim(subsets) != 2
+    return np.sort(np.asarray([list(subsets)] if one else subsets, dtype=np.intp), axis=1)
 
-    `within` lists rows in ascending order: range(ground_size) for the whole
-    ground set, or a conditioning set.  The minor on no rows is 1.
-    """
-    inside = set(basis)
-    rows = [i for i in within if i not in inside]
-    if len(rows) != z.shape[1]:
-        raise ValueError("complement size must equal the family size")
-    return complex(np.linalg.det(z[rows, :])) if rows else 1.0 + 0j
+
+def _members(rows: np.ndarray, n: int) -> np.ndarray:
+    """(N, n) mask of the elements of range(n) in each row of an (N, size) stack."""
+    return (rows[:, :, None] == np.arange(n)).any(axis=1)
+
+
+def _minor2_outside(z: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """|det|^2 of the rows of z outside each row of the (N, n) mask `inside`, which
+    sort first, stably: z is one (n, b) family, or an (N, n, b) stack of them."""
+    comp = np.argsort(inside, axis=1, kind="stable")[:, :z.shape[-1]]
+    return _abs_det2(z[comp] if z.ndim == 2 else np.take_along_axis(z, comp[:, :, None], axis=1))
 
 
 def basis_weight(m: LinearMatroid, subsets) -> float | np.ndarray:
@@ -189,11 +167,11 @@ def basis_weight(m: LinearMatroid, subsets) -> float | np.ndarray:
     Positive exactly on bases.  An (N, rank) array of subsets, one per row,
     gives the N weights as an array, as dpp.density does.
     """
-    idx = np.asarray(subsets if np.ndim(subsets) == 2 else sorted(subsets), dtype=np.intp)
-    if idx.shape[-1] != m.rank:
+    rows = _rows(subsets)
+    if rows.shape[1] != m.rank:
         raise ValueError(f"weight needs subsets of size rank={m.rank}")
-    w = m.weights[idx].prod(axis=-1) * _abs_det2(m.image[idx])
-    return w if idx.ndim == 2 else float(w)
+    w = m.weights[rows].prod(axis=-1) * _abs_det2(m.image[rows])
+    return w if np.ndim(subsets) == 2 else float(w[0])
 
 
 def density_via_circuits(m: LinearMatroid, basis) -> float:
@@ -209,15 +187,11 @@ def circuit_density(m: LinearMatroid, basis,
     """x^T |det z[T^c]|^2 = |det(z/Z_T)|^2 x^T for a basis T that is not checked,
     or for each row of an (N, rank) array of them; z defaults to Z."""
     z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
-    idx = np.asarray(basis if np.ndim(basis) == 2 else sorted(basis), dtype=np.intp)
-    if m.ground_size - idx.shape[-1] != z.shape[1]:
+    rows = _rows(basis)
+    if m.ground_size - rows.shape[1] != z.shape[1]:
         raise ValueError("complement size must equal the family size")
-    rows = np.atleast_2d(idx)
-    # each complement in ascending order: the elements outside sort first, stably
-    inside = (rows[:, :, None] == np.arange(m.ground_size)).any(axis=1)
-    comp = np.argsort(inside, axis=1, kind="stable")[:, :z.shape[1]]
-    dens = m.weights[rows].prod(axis=-1) * _abs_det2(z[comp])
-    return dens if idx.ndim == 2 else float(dens[0])
+    dens = m.weights[rows].prod(axis=-1) * _minor2_outside(z, _members(rows, m.ground_size))
+    return dens if np.ndim(basis) == 2 else float(dens[0])
 
 
 def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
@@ -229,55 +203,71 @@ def matroid_kernel(m: LinearMatroid) -> ProjectionKernel:
     return ProjectionKernel.complement_of(m.weights, m.kernel_basis.conj())
 
 
-def restricted_kernel_basis(m: LinearMatroid, k_set: tuple[int, ...]) -> np.ndarray:
-    """Basis of the kernel restricted to coordinates inside k_set, as columns."""
-    k_set = tuple(sorted(k_set))
-    cols = m.matrix[:, list(k_set)]
-    sub = LinearMatroid(cols)
-    if sub.rank != m.rank:
-        raise ImpossibleCondition("restriction does not contain a basis")
-    z = np.zeros((m.ground_size, sub.corank), dtype=complex)
-    z[list(k_set), :] = sub.kernel_basis
-    return z
+def restricted_kernel_basis(m: LinearMatroid, k_set) -> np.ndarray:
+    """Basis of the kernel restricted to coordinates inside a set K, as columns, or
+    an (N, ground_size, |K| - rank) stack of them for an (N, |K|) stack of sets:
+    from one stacked SVD of R[:, K], the call LinearMatroid(R[:, K]) would make.
+    ImpossibleCondition unless each R[:, K] has the rank of R.
+    """
+    rows = _rows(k_set)
+    if m.rank:
+        _, s, vh = np.linalg.svd(m.matrix.T[rows].swapaxes(1, 2))
+        if (_rank_of(s) != m.rank).any():
+            raise ImpossibleCondition("restriction does not contain a basis")
+        kernels = vh[:, m.rank:].conj().swapaxes(1, 2)
+    else:  # R = 0, whose kernel LinearMatroid takes as the identity, with no SVD
+        kernels = np.eye(rows.shape[1])
+    z = np.zeros((len(rows), m.ground_size, rows.shape[1] - m.rank), dtype=complex)
+    z[np.arange(len(rows))[:, None], rows] = kernels
+    return z if np.ndim(k_set) == 2 else z[0]
+
+
+def _first_bases(m: LinearMatroid, rows: np.ndarray) -> np.ndarray:
+    """(N, ground_size) mask of the first basis inside each row K of an (N, size)
+    stack, by is_basis's rule: one stacked rank test per rank-subset of K, in
+    lexicographic order, of the rows with no basis yet.  Only subsets of K are
+    tested, so no enumeration of the ground set is capped."""
+    first = np.zeros((len(rows), m.ground_size), dtype=bool)
+    todo = np.arange(len(rows))
+    for pos in itertools.combinations(range(rows.shape[1]), m.rank):
+        cand = rows[todo][:, list(pos)]
+        hit = _rank_of(_singular_values(m.image[cand])) == m.rank
+        first[todo[hit]] = _members(cand[hit], m.ground_size)
+        todo = todo[~hit]
+        if not todo.size:
+            return first
+    raise ImpossibleCondition("conditioning set contains no basis")
+
+
+def _basis_ratio(m: LinearMatroid, z: np.ndarray, zk: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|det z[T^c]|^2 / |det z_K[K - T]|^2 = |det(z/Z_T)|^2 / |det(z_K/Z_T)|^2 at
+    the first basis T inside each row K of rows, whose z_K stack is zk."""
+    in_t = _first_bases(m, rows)
+    return _minor2_outside(z, in_t) / _minor2_outside(zk, in_t | ~_members(rows, m.ground_size))
 
 
 def conditional_density(m: LinearMatroid, k_set, subset) -> float:
-    """Unnormalized conditional density of `subset` given the sample stays in k_set."""
-    k_set = tuple(sorted(k_set))
-    subset = tuple(sorted(subset))
-    if not set(subset) <= set(k_set):
-        raise ValueError("subset must lie inside the conditioning set")
-    det = minor_on_complement(restricted_kernel_basis(m, k_set), subset, k_set)
-    return float(abs(det) ** 2) * float(np.prod(m.weights[list(subset)]))
-
-
-def _basis_ratio(m: LinearMatroid, z: np.ndarray, zk: np.ndarray, k_set) -> float:
-    """|det(z/Z_T)|^2 / |det(zk/Z_T)|^2 at the first basis T inside k_set: the
-    first rank-subset of k_set, in lexicographic order, that is a basis.  Only
-    subsets of k_set are tested, so no enumeration of the ground set is capped.
-    """
-    basis = next((t for t in itertools.combinations(sorted(k_set), m.rank)
-                  if m.is_basis(t)), None)
-    if basis is None:
-        raise ImpossibleCondition("conditioning set contains no basis")
-    return float(abs(minor_on_complement(z, basis, range(m.ground_size))) ** 2
-                 / abs(minor_on_complement(zk, basis, k_set)) ** 2)
+    """Unnormalized conditional density x^T |det z_K[K - T]|^2 of a rank-subset
+    T = `subset` of K = k_set, given the sample stays in K."""
+    rows, t = _rows(k_set), _rows(subset)[0]
+    if len(t) != m.rank or not np.isin(t, rows).all():
+        raise ValueError(f"subset must be a {m.rank}-subset of the conditioning set")
+    outside = _members(t[None], m.ground_size) | ~_members(rows, m.ground_size)
+    det2 = _minor2_outside(restricted_kernel_basis(m, rows), outside)
+    return float(det2[0]) * float(np.prod(m.weights[t]))
 
 
 def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
-    """Probability factor P(X inside k_set) relative to the restricted law.
-
-    Returns the value computed two ways: from change-of-basis determinants at
-    one basis, and from the weighted wedge-coefficient sums that are
-    manifestly independent of the basis choice.  Both use the stored kernel
-    basis and the restricted kernel basis.
-    """
-    k_set = tuple(sorted(k_set))
-    zk = restricted_kernel_basis(m, k_set)
-    via_basis = _basis_ratio(m, m.kernel_basis, zk, k_set)
+    """Probability factor P(X inside k_set) relative to the restricted law, two
+    ways: the change-of-basis determinants of _basis_ratio at one basis, and the
+    weighted wedge-coefficient sums, manifestly independent of the basis."""
+    rows = _rows(k_set)
+    zk = restricted_kernel_basis(m, rows)
+    via_basis = float(_basis_ratio(m, m.kernel_basis, zk, rows)[0])
 
     # coefficient route: restrict the full wedge to directions containing the
     # complement of k_set, against the norm of the restricted wedge
+    k_set = rows[0].tolist()
     x = m.weights
     comp = [i for i in range(m.ground_size) if i not in set(k_set)]
     b = m.corank
@@ -285,28 +275,24 @@ def ratio_constant(m: LinearMatroid, k_set) -> tuple[float, float]:
     num = 0.0
     for extra in itertools.combinations(k_set, b - len(comp)):
         rows_j = sorted(comp + list(extra))
-        minor = np.linalg.det(jz[rows_j, :]) if rows_j else 1.0 + 0j
-        num += float(np.prod(x[rows_j])) * float(abs(minor) ** 2)
-    jzk = np.conj(zk) / x[:, None]
-    den = gram_det(x, jzk)
-    comp_mono = float(np.prod(x[comp])) if comp else 1.0
-    via_wedge = comp_mono * num / den
-    return via_basis, via_wedge
+        num += float(np.prod(x[rows_j])) * float(_abs_det2(jz[rows_j]))
+    den = gram_det(x, np.conj(zk[0]) / x[:, None])
+    return via_basis, float(np.prod(x[comp])) * num / den
 
 
 def extension_weight(m: LinearMatroid, theta: np.ndarray, k_set,
-                     z: np.ndarray | None = None) -> float:
-    """Weight x^K r(z : z_K) |det(theta^T z_K)|^2 of an admissible (rank+k)-set K.
+                     z: np.ndarray | None = None) -> float | np.ndarray:
+    """Weight x^K r(z : z_K) |det(theta^T z_K)|^2 of an admissible (rank+k)-set K,
+    or the weights of each row of an (N, rank+k) stack of them, as an array.
 
     theta holds the k forms as columns, z_K spans the kernel restricted to K,
     and r is the ratio of ratio_constant for the kernel family z (default Z).
     """
     z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
-    k_set = tuple(sorted(k_set))
-    zk = restricted_kernel_basis(m, k_set)
-    topo = float(abs(np.linalg.det(theta.T @ zk)) ** 2) if theta.shape[1] else 1.0
-    mono = float(np.prod(m.weights[list(k_set)]))
-    return mono * _basis_ratio(m, z, zk, k_set) * topo
+    rows = _rows(k_set)
+    zk = restricted_kernel_basis(m, rows)
+    w = m.weights[rows].prod(axis=-1) * _basis_ratio(m, z, zk, rows) * _abs_det2(theta.T @ zk)
+    return w if np.ndim(k_set) == 2 else float(w[0])
 
 
 def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
@@ -381,12 +367,11 @@ def circuit_basis_identity_check(m: LinearMatroid,
     b = z.shape[1]
     bases = set(m.bases)
     worst, checked = 0.0, 0
-    for rows in itertools.combinations(range(m.ground_size), b):
+    for checked, rows in enumerate(itertools.combinations(range(m.ground_size), b), 1):
         coeff = complex(np.linalg.det(z[list(rows), :])) if b else 1.0 + 0j
         complement = tuple(i for i in range(m.ground_size) if i not in set(rows))
         expected = _det_ratio(m, z, m._circuits(complement)) if complement in bases else 0j
         worst = max(worst, abs(coeff - expected))
-        checked += 1
     return IdentityReport(worst, checked)
 
 

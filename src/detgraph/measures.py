@@ -37,7 +37,7 @@ from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
 from .graph import SubgraphMask, SubsetTopology, WeightedGraph, _incidence, cycle_space_basis
-from .linalg import _annihilated, _complex_pairs, null_space, unit_columns
+from .linalg import _annihilated, _complex_pairs, check_pivots, null_space, unit_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +112,9 @@ def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     when d phi has rank k; the chains first, as residuals off the cycles they
     lose four decades of accuracy at weight spreads of 1e+-14."""
     phi = unit_columns(phi)
-    null_space(g.boundary @ phi, "chains must be independent from the cycle space")
+    if phi.shape[1]:
+        check_pivots(np.linalg.qr(g.boundary @ phi, mode="r"),
+                     "chains must be independent from the cycle space")
     return np.hstack([phi.conj(), cycle_space_basis(g)])
 
 

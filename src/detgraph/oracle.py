@@ -191,13 +191,19 @@ def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSp
     return float(measures.stack_weight(g, spec, fam.topology, x).sum())
 
 
+def _matroid_blocks(m: matroid_mod.LinearMatroid, subsets, size: int) -> list[np.ndarray]:
+    """Size-subsets as (N, size) blocks whose per-row matrices, of at most
+    ground_size^2 entries each, stay under graph._BLOCK_BYTES."""
+    rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+    per = max(1, graph_mod._BLOCK_BYTES // (m.ground_size ** 2 * m.image.itemsize))
+    return [rows[i:i + per] for i in range(0, len(rows), per)]
+
+
 def matroid_basis_sums(m: matroid_mod.LinearMatroid,
                        z_columns: np.ndarray | None = None) -> dict[str, float]:
-    """Defining sums of the matroid partition functions B and K, stacked over
-    blocks of bases whose d x d minors stay under graph._BLOCK_BYTES."""
-    bases = np.array(m.bases, dtype=np.intp).reshape(len(m.bases), m.rank)
-    per = max(1, graph_mod._BLOCK_BYTES // (m.ground_size ** 2 * m.image.itemsize))
-    blocks = [bases[i:i + per] for i in range(0, len(bases), per)]
+    """Defining sums of the matroid partition functions B and K, one stacked
+    evaluation per block of bases."""
+    blocks = _matroid_blocks(m, m.bases, m.rank)
     return {"B": float(np.concatenate([matroid_mod.basis_weight(m, t) for t in blocks]).sum()),
             "K": float(np.concatenate([matroid_mod.circuit_density(m, t, z_columns)
                                        for t in blocks]).sum())}
@@ -205,10 +211,11 @@ def matroid_basis_sums(m: matroid_mod.LinearMatroid,
 
 def matroid_L_sum(m: matroid_mod.LinearMatroid, theta: np.ndarray,
                   z_columns: np.ndarray | None = None) -> float:
-    """Defining sum of the k-extension polynomial over admissible supersets."""
+    """Defining sum of the k-extension polynomial, one stacked sum per block of k-sets."""
     theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
-    return sum(matroid_mod.extension_weight(m, theta, k_set, z_columns)
-               for k_set in m.bases_of_rank_k_extension(theta.shape[1]))
+    k = theta.shape[1]
+    return float(sum(matroid_mod.extension_weight(m, theta, t, z_columns).sum() for t
+                     in _matroid_blocks(m, m.bases_of_rank_k_extension(k), m.rank + k)))
 
 
 @dataclass(frozen=True)

@@ -254,13 +254,88 @@ class TestConditioning:
             mm.restricted_kernel_basis(m, (0, 1))
 
 
+class TestStackedRestriction:
+    def test_no_matroid_is_built_per_set(self, monkeypatch):
+        # the restricted kernels come from one stacked SVD, and the first basis
+        # inside each set from stacked rank tests: nothing builds a LinearMatroid
+        m = _random_matroid(7, target=5, ground=10)
+        theta = np.random.default_rng(8).standard_normal((10, 1)) + 0j
+        k_set = m.bases_of_rank_k_extension(1)[3]
+        built = []
+        init = mm.LinearMatroid.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(mm.LinearMatroid, "__init__", counted)
+        oracle.matroid_L_sum(m, theta)
+        mm.extension_weight(m, theta, k_set)
+        mm.ratio_constant(m, k_set)
+        mm.conditional_density(m, k_set, next(t for t in m.bases if set(t) <= set(k_set)))
+        assert built == []
+
+    @pytest.mark.parametrize("seed,k", [(1, 1), (2, 2), (3, 3)])
+    def test_each_row_of_a_stack_is_its_value_alone(self, seed, k):
+        m = _random_matroid(seed)
+        theta = np.random.default_rng(seed).standard_normal((m.ground_size, k)) + 0j
+        k_sets = np.array(m.bases_of_rank_k_extension(k))
+        weights = mm.extension_weight(m, theta, k_sets)
+        zk = mm.restricted_kernel_basis(m, k_sets)
+        assert weights.shape == (len(k_sets),)
+        assert zk.shape == (len(k_sets), m.ground_size, k)
+        for row, w, z in zip(k_sets, weights, zk):
+            assert w == mm.extension_weight(m, theta, tuple(row))
+            assert np.array_equal(z, mm.restricted_kernel_basis(m, tuple(row)))
+
+    @pytest.mark.parametrize("m", [
+        mm.from_matrix(np.zeros((2, 3)), np.array([0.5, 1.0, 2.0])),
+        mm.matroid_from_json('{"ground_size": 3, "target_dim": 0, "R": [], '
+                             '"weights": [0.5, 1.0, 2.0]}'),
+    ], ids=["zero-matrix", "target-dim-0"])
+    def test_rank_zero_matroid(self, m):
+        # the only basis is empty, every set is free: z_K is the identity on K,
+        # r = 1, and the weight of {i} is x_i |theta_i|^2
+        assert m.rank == 0
+        theta = np.array([[1.0], [2.0], [0.5j]])
+        zk = mm.restricted_kernel_basis(m, (0, 2))
+        assert np.array_equal(zk, np.eye(3)[:, [0, 2]])
+        assert mm.ratio_constant(m, (0, 2)) == pytest.approx((1.0, 1.0), rel=1e-14)
+        assert mm.conditional_density(m, (0, 2), ()) == 1.0
+        expected = m.weights * np.abs(theta[:, 0]) ** 2
+        assert np.allclose(mm.extension_weight(m, theta, np.arange(3)[:, None]), expected,
+                           rtol=1e-14, atol=0)
+        assert oracle.matroid_L_sum(m, theta) == pytest.approx(expected.sum(), rel=1e-14)
+        assert mm.partition_functions(m, theta=theta)["L"] == pytest.approx(
+            expected.sum(), rel=1e-12)
+
+    def test_free_matroid(self):
+        # K is the one basis: z_K has no columns and r = 1
+        m = mm.from_matrix(np.eye(3), np.array([1.0, 2.0, 4.0]))
+        assert mm.restricted_kernel_basis(m, (0, 1, 2)).shape == (3, 0)
+        assert mm.ratio_constant(m, (0, 1, 2)) == (1.0, 1.0)
+        assert mm.extension_weight(m, np.zeros((3, 0)), (0, 1, 2)) == pytest.approx(8.0)
+        assert mm.conditional_density(m, (0, 1, 2), (0, 1, 2)) == pytest.approx(8.0)
+
+    def test_a_set_with_no_basis_in_a_stack(self):
+        # elements 0 and 2 are parallel and 3 is a loop: (0, 2, 3) has rank 1
+        m = mm.from_matrix(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+        theta = np.ones((4, 1))
+        stack = np.array([(0, 1, 2), (0, 2, 3)])
+        assert mm.extension_weight(m, theta, stack[:1]).shape == (1,)
+        with pytest.raises(ImpossibleCondition):
+            mm.restricted_kernel_basis(m, stack)
+        with pytest.raises(ImpossibleCondition):
+            mm.extension_weight(m, theta, stack)
+
+
 class TestRatioConstant:
     def test_basis_k_zero(self):
         # conditioning on exactly one basis: denominator is an empty det
         m = _random_matroid(13)
         t0 = m.bases[0]
         r1, r2 = mm.ratio_constant(m, t0)
-        det = mm.minor_on_complement(m.kernel_basis, t0, range(m.ground_size))
+        det = np.linalg.det(m.kernel_basis[[i for i in range(m.ground_size) if i not in t0]])
         assert r1 == pytest.approx(abs(det) ** 2, rel=1e-9)
         assert r2 == pytest.approx(r1, rel=1e-9)
 
@@ -272,7 +347,8 @@ class TestRatioConstant:
         for t in m.bases:
             if not set(t) <= set(k_set):
                 continue
-            det_full = mm.minor_on_complement(m.kernel_basis, t, range(m.ground_size))
+            det_full = np.linalg.det(
+                m.kernel_basis[[i for i in range(m.ground_size) if i not in t]])
             rows = [i for i in k_set if i not in set(t)]
             det_res = np.linalg.det(zk[rows, :])
             values.append(abs(det_full) ** 2 / abs(det_res) ** 2)
@@ -445,7 +521,9 @@ class TestTensorIdentity:
                 continue
             rows = [i for i in k_set if i not in set(t)]
             det_res = complex(np.linalg.det(zk[rows, :]))
-            gam = np.column_stack([m.fundamental_circuit_vector(t, j) for j in rows])
+            # the fundamental circuits of t are indexed by its complement
+            rest = [j for j in range(m.ground_size) if j not in set(t)]
+            gam = m.fundamental_circuit_basis(t)[:, [rest.index(j) for j in rows]]
             lhs += det_res ** 2 * np.outer(wedge_coords(gam), _unit_wedge(wedge_rows, rows))
         rhs = np.outer(target, target)
         assert np.abs(lhs - rhs).max() < 1e-9
@@ -487,12 +565,11 @@ class TestGraphSpecialization:
         g = random_connected_graph(rng, 8, min_b1=2)
         m = mm.from_matrix(g.boundary.astype(float), g.weights)
         tree = dg.min_index_spanning_tree(g)
-        for j in range(g.num_edges):
-            if j in tree.edge_set:
-                continue
+        rest = [j for j in range(g.num_edges) if j not in tree.edge_set]
+        fam = m.fundamental_circuit_basis(tree.indices)
+        for col, j in enumerate(rest):
             gamma = dg.fundamental_cycle(g, tree, j)
-            vec = m.fundamental_circuit_vector(tree.indices, j)
-            assert np.abs(vec.real - gamma).max() < 1e-10
+            assert np.abs(fam[:, col].real - gamma).max() < 1e-10
 
 
 class TestPartitionFunctionIdentitiesAtRandomWeights:
