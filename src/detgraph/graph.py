@@ -329,7 +329,9 @@ def subset_topology(g: WeightedGraph, subsets: np.ndarray) -> SubsetTopology:
     of v's component to v, so a non-forest edge e closes the fundamental cycle
     e + root[tail] - root[head], the one chain of e and forest edges that is a
     cycle; a joining edge re-roots the side with the larger label, adding that
-    same chain to it, negated when that side holds the tail.  The cost is
+    same chain to it, negated when that side holds the tail.  At the end,
+    root[n] is the forest path matrix T of _forest_paths for the row's forest,
+    each column placed at its forest edge: T in its one-row form.  The cost is
     N s |V| |E| int8 operations, for small graphs only: a single large mask
     takes its union-find.
     """
@@ -372,91 +374,55 @@ def subset_topology(g: WeightedGraph, subsets: np.ndarray) -> SubsetTopology:
     return SubsetTopology(subsets.astype(dtype), labels, b0, b1, component_b1, forest, cycles)
 
 
-class _RootedForest:
-    """A forest with each component rooted at its smallest vertex.
-
-    For each vertex v, parent_edge[v] is the forest edge from v towards its
-    root (-1 at a root), parent[v] the vertex across it and depth[v] the number
-    of edges up to the root; order lists the vertices parents first.  Every
-    fundamental cycle and cut is read off this one record.
-    """
-
-    def __init__(self, g: WeightedGraph, forest_edges: Iterable[int]):
-        n = g.num_vertices
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i in forest_edges:
-            t, h = g.edges[i]
-            adj[t].append((h, i))
-            adj[h].append((t, i))
-        self.graph, self.order = g, []
-        self.parent_edge, self.parent, self.depth = [-1] * n, [-1] * n, [-1] * n
-        for root in range(n):  # ascending, so each root is its component's smallest vertex
-            if self.depth[root] < 0:
-                self.depth[root] = 0
-                queue = [root]
-                for u in queue:  # breadth first: the queue grows while it is read
-                    for v, i in adj[u]:
-                        if self.depth[v] < 0:
-                            self.parent_edge[v], self.parent[v] = i, u
-                            self.depth[v] = self.depth[u] + 1
-                            queue.append(v)
-                self.order += queue
-
-    def cycles(self, closing: Sequence[int]) -> np.ndarray:
-        """Fundamental cycles as columns: each edge e closed by the forest path
-        from head(e) back to tail(e).  Every e must join two vertices of one tree."""
-        edges, parent, parent_edge = self.graph.edges, self.parent, self.parent_edge
-        depth = self.depth
-        out = np.zeros((self.graph.num_edges, len(closing)), dtype=int)
-        for col, e in enumerate(closing):
-            out[e, col] = 1
-            v, u = edges[e]
-            # climb from both ends to where they meet: the path runs u -> parent[u]
-            # on the head side and parent[v] -> v on the tail side
-            while u != v:
-                if depth[u] >= depth[v]:
-                    i = parent_edge[u]
-                    out[i, col] = 1 if edges[i][0] == u else -1
-                    u = parent[u]
-                else:
-                    i = parent_edge[v]
-                    out[i, col] = -1 if edges[i][0] == v else 1
-                    v = parent[v]
-        return out
-
-    def _below(self, a: np.ndarray) -> np.ndarray:
-        """Row v of the result: the sum of the rows of `a` over the subtree below v."""
-        for v in reversed(self.order):  # children first
-            if self.parent[v] >= 0:
-                a[self.parent[v]] += a[v]
-        return a
-
-    def cuts(self, forest_edges: Sequence[int]) -> np.ndarray:
-        """Fundamental cuts as columns: the coboundary of the subtree below each
-        forest edge, negated where the edge points up, so that it is the
-        coboundary of the edge's head side and +1 on the edge."""
-        edges = self.graph.edges
-        below = self._below(np.eye(self.graph.num_vertices, dtype=int))
-        side = below[[v for e in forest_edges for v in edges[e] if self.parent_edge[v] == e]]
-        tails, heads = self.graph.ends.T
-        cuts = side[:, heads] - side[:, tails]
-        return (cuts * cuts[np.arange(len(forest_edges)), list(forest_edges)][:, None]).T
-
-    def flow(self, q: np.ndarray) -> np.ndarray:
-        """Chain on the forest edges with boundary q, which must sum to zero on
-        each tree: every forest edge carries the charge of its head side."""
-        below = self._below(q.copy())
-        f = np.zeros(self.graph.num_edges, dtype=q.dtype)
-        for v, e in enumerate(self.parent_edge):
-            if e >= 0:
-                f[e] = below[v] if self.graph.edges[e][1] == v else -below[v]
-        return f
+def _forest_paths(g: WeightedGraph, forest_edges: Sequence[int]) -> np.ndarray:
+    """The forest path matrix T of the ascending forest edges: (|V|, |F|) int8,
+    column j for forest_edges[j], row v the forest chain from the root of v's
+    tree (its smallest vertex) to v, so that dT[v] = v - root.  One breadth-first
+    pass: row v is the row of its parent, plus or minus its parent edge.  Every
+    fundamental cycle, cut and flow of the forest is one expression in T."""
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
+    for col, e in enumerate(forest_edges):
+        t, h = g.edges[e]
+        adj[t].append((h, col, 1))
+        adj[h].append((t, col, -1))
+    paths = np.zeros((g.num_vertices, len(forest_edges)), dtype=np.int8)
+    seen = [False] * g.num_vertices
+    for root in range(g.num_vertices):  # ascending, so each root is its tree's smallest vertex
+        if not seen[root]:
+            seen[root] = True
+            queue = [root]
+            for u in queue:  # the queue grows while it is read
+                for v, col, sign in adj[u]:
+                    if not seen[v]:
+                        seen[v] = True
+                        paths[v] = paths[u]
+                        paths[v, col] = sign
+                        queue.append(v)
+    return paths
 
 
-def _rooted_tree(g: WeightedGraph, tree: SubgraphMask) -> _RootedForest:
+def _cycles(g: WeightedGraph, forest_edges: Sequence[int], paths: np.ndarray,
+            closing: Sequence[int]) -> np.ndarray:
+    """Fundamental cycles as columns, e + T[tail(e)] - T[head(e)] for each
+    closing edge e, which must join two vertices of one tree."""
+    out = np.zeros((g.num_edges, len(closing)), dtype=int)
+    tails, heads = g.ends[list(closing)].T
+    out[list(forest_edges)] = (paths[tails] - paths[heads]).T
+    out[list(closing), np.arange(len(closing))] = 1
+    return out
+
+
+def _cuts(g: WeightedGraph, paths: np.ndarray) -> np.ndarray:
+    """Fundamental cuts as columns, T[head] - T[tail] over the edges: the
+    coboundary of the head side of each forest edge, +1 on that edge."""
+    tails, heads = g.ends.T
+    return (paths[heads] - paths[tails]).astype(int)
+
+
+def _tree_paths(g: WeightedGraph, tree: SubgraphMask) -> np.ndarray:
     if not tree.is_spanning_tree():
         raise NotASpanningTree("mask is not a spanning tree")
-    return _RootedForest(g, tree.edge_set)
+    return _forest_paths(g, tree._forest)
 
 
 def fundamental_cycle(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
@@ -464,8 +430,10 @@ def fundamental_cycle(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarra
 
     Zero iff e lies in the tree.  Coefficients are in {-1, 0, +1}.
     """
-    rooted = _rooted_tree(g, tree)
-    return np.zeros(g.num_edges, dtype=int) if e in tree.edge_set else rooted.cycles([e])[:, 0]
+    paths = _tree_paths(g, tree)
+    if e in tree.edge_set:
+        return np.zeros(g.num_edges, dtype=int)
+    return _cycles(g, tree._forest, paths, [e])[:, 0]
 
 
 def fundamental_cut(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
@@ -474,8 +442,10 @@ def fundamental_cut(g: WeightedGraph, tree: SubgraphMask, e: int) -> np.ndarray:
     Zero iff e is not in the tree; otherwise the coboundary of the indicator
     of the vertex set on the head side of e.
     """
-    rooted = _rooted_tree(g, tree)
-    return rooted.cuts([e])[:, 0] if e in tree.edge_set else np.zeros(g.num_edges, dtype=int)
+    paths = _tree_paths(g, tree)
+    if e not in tree.edge_set:
+        return np.zeros(g.num_edges, dtype=int)
+    return _cuts(g, paths[:, [tree._forest.index(e)]])[:, 0]
 
 
 def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None) -> SubgraphMask:
@@ -494,14 +464,16 @@ def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -
     edge in ascending order, so the signs are reproducible.
     """
     mask = g.full_mask() if within is None else within
-    return _RootedForest(g, mask._forest).cycles(sorted(mask.edge_set.difference(mask._forest)))
+    closing = sorted(mask.edge_set.difference(mask._forest))
+    return _cycles(g, mask._forest, _forest_paths(g, mask._forest), closing)
 
 
 def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.ndarray:
-    """Integral basis of the cut space as columns, one per tree edge."""
+    """Integral basis of the cut space as columns, one per tree edge in
+    ascending order; the min-index tree when no tree is given."""
     if tree is None:
-        tree = min_index_spanning_tree(g)
-    return _rooted_tree(g, tree).cuts(tree.indices)
+        return _cuts(g, _forest_paths(g, g.full_mask()._forest))
+    return _cuts(g, _tree_paths(g, tree))
 
 
 def quotient_by_forest(g: WeightedGraph, forest: SubgraphMask) -> tuple[WeightedGraph, list[int]]:

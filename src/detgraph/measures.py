@@ -113,7 +113,10 @@ def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
     lose four decades of accuracy at weight spreads of 1e+-14."""
     phi = unit_columns(phi)
     if phi.shape[1]:
-        check_pivots(np.linalg.qr(g.boundary @ phi, mode="r"),
+        d_phi = np.zeros((g.num_vertices, phi.shape[1]), dtype=phi.dtype)
+        np.add.at(d_phi, g.ends[:, 1], phi)  # d phi: +phi onto heads, -phi onto tails
+        np.subtract.at(d_phi, g.ends[:, 0], phi)
+        check_pivots(np.linalg.qr(d_phi, mode="r"),
                      "chains must be independent from the cycle space")
     return np.hstack([phi.conj(), cycle_space_basis(g)])
 

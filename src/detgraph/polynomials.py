@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericDegeneracy
-from .graph import SubgraphMask, WeightedGraph, _RootedForest, cut_space_basis, cycle_space_basis
+from .graph import SubgraphMask, WeightedGraph, _forest_paths, cut_space_basis, cycle_space_basis
 from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega, weighted_frame
 
 
@@ -55,9 +55,13 @@ def _balanced(q: np.ndarray) -> np.ndarray:
 
 def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
     """Some chain whose boundary is q (q must sum to zero), in the dtype of q:
-    the flow along the min-index spanning tree, each tree edge carrying the
-    charge of its head side."""
-    return _RootedForest(g, g.full_mask()._forest).flow(_balanced(q))
+    the flow along the min-index spanning tree, q @ T for its forest path
+    matrix T, so each tree edge carries the charge of its head side."""
+    q = _balanced(q)
+    forest = g.full_mask()._forest
+    f = np.zeros(g.num_edges, dtype=q.dtype)
+    f[list(forest)] = q @ _forest_paths(g, forest)
+    return f
 
 
 def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
@@ -149,8 +153,12 @@ def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> floa
     q = _balanced(q)
     if np.any(x == 0):
         raise NumericDegeneracy("the Green pairing divides by the weights, and one is 0")
-    d = g.boundary.astype(float)
-    lap = (d / x) @ d.T
+    # the Laplacian sum over edges of (h - t)(h - t)^T / x, one scatter; a loop adds 0
+    n, (tails, heads) = g.num_vertices, g.ends.T
+    y = np.where(tails == heads, 0.0, 1.0 / x)
+    diagonal = np.concatenate([tails, heads]) * (n + 1)
+    lap = np.bincount(np.concatenate([diagonal, tails * n + heads, heads * n + tails]),
+                      np.concatenate([y, y, -y, -y]), n * n).reshape(n, n)
     u = np.linalg.solve(lap[1:, 1:], q[1:])  # the potential, 0 at the pinned vertex 0
     return float((np.conj(q[1:]) @ u).real)
 

@@ -174,6 +174,37 @@ class TestFundamentalCut:
                 assert dg.fundamental_cut(g, tree, e).tolist() == expected
 
 
+class TestForestPathBases:
+    def test_every_spanning_tree_of_a_multigraph(self):
+        # a parallel pair 0 -> 1 and a loop at 3; the cuts of each tree are the
+        # identity on its edges and the head-side coboundaries, its cycles the
+        # identity on the closing edges, and every cut pairs to 0 with every cycle
+        edges = [(0, 1), (1, 2), (0, 1), (2, 3), (3, 3), (3, 0), (2, 4), (4, 1)]
+        g = dg.WeightedGraph(5, edges)
+        trees = oracle.enumerate_family(g, "ust")
+        assert len(trees) == round(polynomials.kirchhoff_T(g).real) > 1
+        for tree in trees:
+            own = list(tree.indices)
+            closing = [e for e in range(g.num_edges) if e not in tree]
+            cuts = dg.cut_space_basis(g, tree)
+            assert cuts[own].tolist() == np.eye(len(own), dtype=int).tolist()
+            for j, e in enumerate(own):
+                labels = g.mask(tree.edge_set - {e}).labels
+                side = labels[g.edges[e][1]]
+                expected = [(labels[h] == side) - (labels[t] == side) for t, h in g.edges]
+                assert cuts[:, j].tolist() == expected
+            cycles = np.column_stack([dg.fundamental_cycle(g, tree, e) for e in closing])
+            assert cycles[closing].tolist() == np.eye(len(closing), dtype=int).tolist()
+            assert not (g.boundary @ cycles).any()
+            assert not (cuts.T @ cycles).any()
+        rng = np.random.default_rng(23)
+        for q in (rng.standard_normal(5), rng.standard_normal(5) + 1j * rng.standard_normal(5)):
+            q -= q.mean()
+            flow = polynomials.flow_with_divergence(g, q)
+            assert flow.dtype == q.dtype
+            assert np.allclose(g.boundary @ flow, q, rtol=0, atol=1e-12)
+
+
 class TestIntegralBases:
     def test_cycles_span_kernel_of_boundary(self, square_with_chord):
         g = square_with_chord
