@@ -9,9 +9,11 @@ product becomes the standard one, so determinantal marginals are literal
 matrix entries.
 
 Frames: `weighted_frame` is the one QR of every kernel, on a weight-free complement
-basis at inverted weights.  Rank decisions: `check_pivots` makes those of the forms
-and chains on the R factor of a weight-free QR; `orthonormalize` that of a conditioned
-kernel, and the matroid module reads the rank of R from its singular values.
+basis at inverted weights, in the row order and scaling of `weighted_rows`, which the
+ratio identities of the polynomials module share.  Rank decisions: `check_pivots`
+makes those of the forms and chains on the R factor of a weight-free QR;
+`orthonormalize` that of a conditioned kernel, and the matroid module reads the rank
+of R from its singular values.
 Forms, chains and frames keep the dtype of their input, np.result_type(input,
 float): real forms give real frames and complex forms complex ones.
 """
@@ -40,17 +42,23 @@ def to_omega(x: np.ndarray, forms: np.ndarray) -> np.ndarray:
     return np.asarray(forms) * np.sqrt(np.asarray(x))[:, None]
 
 
-def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Orthonormal frame, in omega coordinates, of the independent columns of a
-    complement basis in e* coordinates: their rows scaled by 1/sqrt(x) (never 1/x,
-    which overflows at subnormal x).
-
-    Householder QR with the rows sorted by increasing x, so by decreasing scale,
-    which keeps it accurate over wide weight spreads; no rank is decided.
-    """
+def weighted_rows(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row order of `weighted_frame`'s QR, by increasing x, so by decreasing
+    scale, and the basis rows in that order scaled by 1/sqrt(x) (never 1/x,
+    which overflows at subnormal x): omega coordinates of a complement basis."""
     x = np.asarray(x)
     order = np.argsort(x, kind="stable")
-    a = np.asarray(basis)[order] / np.sqrt(x[order])[:, None]
+    return order, np.asarray(basis)[order] / np.sqrt(x[order])[:, None]
+
+
+def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal frame, in omega coordinates, of the independent columns of a
+    complement basis in e* coordinates.
+
+    Householder QR of `weighted_rows`, whose row order keeps it accurate over
+    wide weight spreads; no rank is decided.
+    """
+    order, a = weighted_rows(x, basis)
     q = np.empty(a.shape, dtype=a.dtype)
     q[order] = np.linalg.qr(a)[0]
     return q
@@ -125,9 +133,11 @@ def gram_det(x: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> float:
 def bilinear_gram_det(x: np.ndarray, vectors: np.ndarray) -> complex:
     """det of the matrix sum_e x_e conj(v_i[e]) v_j[e] for possibly complex x.
 
-    At positive real x this is gram_det; as a function of x it is the
-    polynomial continuation used by the stability checks.  Computed in
-    np.result_type(x, vectors, float): real x and vectors stay real.
+    At positive real x this is gram_det; as a function of x it is a
+    polynomial, which psi1 and psi2 evaluate at any x (the cut family
+    scatters its Laplacian instead), and through gram_det the matroid
+    partition functions.  Computed in np.result_type(x, vectors, float):
+    real x and vectors stay real.
     """
     x, v = np.asarray(x), np.asarray(vectors)
     # by Cauchy-Binet, 1 for no vectors and exactly 0 for more vectors than entries

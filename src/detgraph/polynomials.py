@@ -1,23 +1,29 @@
 """Partition-function polynomials of the subgraph measures.
 
-All polynomials are evaluated, never expanded symbolically.  By Cauchy-Binet
-each is one Gram determinant G(x, V) = det(V^H diag(x) V) of an integer basis
-extended by its inputs (`linalg.bilinear_gram_det`), or for A bordered by
-them, in the dtype of x and V: real inputs give real arithmetic, and complex
-weights, which the real stability check probes, are admitted.
+All polynomials are evaluated, never expanded symbolically, in the dtype of
+x and their inputs: real inputs give real arithmetic, and complex weights,
+which the real stability check probes, are admitted.  By Cauchy-Binet each is
+one determinant of an integer family and its inputs, in two families.
 
-  cut family, D = the coboundary without its first vertex column
-    kirchhoff_T      G(x, D)          sum over spanning trees of x^T
-    generalized_C    G(x, [D|theta])  connected subgraphs with k cycles, weighted by forms
-    generalized_A    (-1)^k det[[D^T X D, D^T conj(phi)], [phi^T D, 0]]
-                                      forests with k+1 components, weighted by chains
-  cycle family, Z = the integral cycle basis
-    symanzik_psi1    G(x, Z)          sum over spanning trees of x^(complement of T)
-    symanzik_psi2    G(x, [Z|f_q])    2-forests weighted by squared flow imbalance
+  cut family, D = the coboundary without its first vertex column, and
+  L = D^T X D the weighted Laplacian without vertex 0 (`_laplacian`, one
+  scatter over the edge ends; D is never formed)
+    kirchhoff_T      det L                  sum over spanning trees of x^T
+    generalized_C    det [[L, D^T X theta], [theta^H X D, theta^H X theta]]
+                                            connected subgraphs with k cycles, weighted by forms
+    generalized_A    (-1)^k det [[L, D^T conj(phi)], [phi^T D, 0]]
+                                            forests with k+1 components, weighted by chains
+  cycle family, Z = the integral cycle basis, G(x, V) = det(V^H X V)
+  (`linalg.bilinear_gram_det`)
+    symanzik_psi1    G(x, Z)                sum over spanning trees of x^(complement of T)
+    symanzik_psi2    G(x, [Z|f_q])          2-forests weighted by squared flow imbalance
 
-Only the Green pairing divides by the weights, so only it refuses a zero
-weight.  The brute-force defining sums live in the oracle module for
-cross-checking.
+C is the Gram determinant G(x, [D|theta]) and A the Gram matrix of D
+bordered by the chains.  C with more forms than b1 and A with more chains
+than |V| - 1 are exactly 0, as are their sums; a determinant would give
+rounding there.  Only the Green pairing divides by the weights, so only it
+refuses a zero weight.  The brute-force defining sums live in the oracle
+module for cross-checking.
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ import numpy as np
 
 from .errors import NumericDegeneracy
 from .graph import SubgraphMask, WeightedGraph, _forest_paths, cut_space_basis, cycle_space_basis
-from .linalg import bilinear_gram_det, gram_det, j_x_columns, to_omega, weighted_frame
+from .linalg import bilinear_gram_det, j_x_columns, to_omega, weighted_rows
 
 
 def kirchhoff_T(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
-    """Spanning-tree generating polynomial: the Gram determinant of the reduced coboundary."""
+    """Spanning-tree generating polynomial: by the matrix-tree theorem, the
+    determinant of the weighted Laplacian without vertex 0."""
     x = g.weights if x is None else np.asarray(x)
-    return _realify(bilinear_gram_det(x, g.coboundary[:, 1:]))
+    return _realify(np.linalg.det(_laplacian(g, x)[1:, 1:]))
 
 
 def symanzik_psi1(g: WeightedGraph, x: np.ndarray | None = None) -> complex:
@@ -55,12 +62,13 @@ def _balanced(q: np.ndarray) -> np.ndarray:
 
 def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
     """Some chain whose boundary is q (q must sum to zero), in the dtype of q:
-    the flow along the min-index spanning tree, q @ T for its forest path
-    matrix T, so each tree edge carries the charge of its head side."""
+    the flow along the min-index spanning tree, q T for its forest path
+    matrix T, so each tree edge carries the charge of its head side.  An
+    einsum, as q @ T would first cast all of the int8 T to q's dtype."""
     q = _balanced(q)
     forest = g.full_mask()._forest
     f = np.zeros(g.num_edges, dtype=q.dtype)
-    f[list(forest)] = q @ _forest_paths(g, forest)
+    f[list(forest)] = np.einsum("v,vf->f", q, _forest_paths(g, forest))
     return f
 
 
@@ -76,27 +84,72 @@ def symanzik_psi2(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> complex:
 
 def generalized_C(g: WeightedGraph, x: np.ndarray | None, theta: np.ndarray) -> complex:
     """Connected-subgraph polynomial: the Gram determinant of the reduced
-    coboundary extended by the k forms; polynomial in x, so complex weights
-    are admitted."""
+    coboundary D extended by the k forms, the reduced Laplacian bordered by
+    D^T X theta, theta^H X D and theta^H X theta.  Polynomial in x, so zero and
+    complex weights are admitted."""
     x = g.weights if x is None else np.asarray(x)
-    fam = np.hstack([g.coboundary[:, 1:], np.column_stack([theta])])
-    return _realify(bilinear_gram_det(x, fam))
+    theta = np.column_stack([theta])
+    if theta.shape[1] > g.betti_1:  # more columns than edges: exactly 0, as is the sum
+        return 0j
+    return _realify(np.linalg.det(_laplacian(g, x, theta)[1:, 1:]))
 
 
 def generalized_A(g: WeightedGraph, x: np.ndarray | None, phi: np.ndarray) -> complex:
-    """Forest polynomial: the Gram matrix of the reduced coboundary D, bordered
-    by the pairings D^T phi of the k chains, (-1)^k det[[D^T X D, D^T conj(phi)],
-    [phi^T D, 0]].  Polynomial in x with no division, so zero and complex
-    weights are admitted."""
+    """Forest polynomial: the reduced Laplacian bordered by the pairings D^T phi
+    of the k chains, (-1)^k det[[D^T X D, D^T conj(phi)], [phi^T D, 0]].
+    Polynomial in x with no division, so zero and complex weights are admitted."""
     x = g.weights if x is None else np.asarray(x)
     phi = np.column_stack([phi])
     k = phi.shape[1]
     if k > g.num_vertices - 1:  # more chains than cut vectors: exactly 0, as is the sum
         return 0j
-    d = g.coboundary[:, 1:].astype(np.result_type(x, phi, float))
-    bordered = np.block([[(d.T * x) @ d, d.T @ phi.conj()],
-                         [phi.T @ d, np.zeros((k, k))]])
-    return _realify((-1) ** k * np.linalg.det(bordered) if bordered.size else 1.0)
+    u = _edge_rows(g, phi.conj(), np.result_type(x, phi, float))
+    blocks = u.conj()[:, None] * u  # [[d d^T, d conj(phi)^T], [phi d^T, phi conj(phi)^T]]
+    blocks[:2, :2] *= x
+    blocks[2:, 2:] = 0
+    return _realify((-1) ** k * np.linalg.det(_scatter(g, blocks)[1:, 1:]))
+
+
+def _laplacian(g: WeightedGraph, y: np.ndarray, forms: np.ndarray | None = None) -> np.ndarray:
+    """The weighted Laplacian D^T Y D = sum_e y_e (h - t)(h - t)^T, in the dtype
+    of y; given k forms, the Gram matrix of [D | forms] at y, which borders it by
+    D^T Y forms, forms^H Y D and forms^H Y forms.  One scatter of the block
+    y_e conj(u_e) u_e^T of each row u_e of [D | forms]."""
+    forms = np.zeros((len(y), 0)) if forms is None else forms
+    u = _edge_rows(g, forms, np.result_type(forms, float))
+    return _scatter(g, (y * u.conj())[:, None] * u)
+
+
+def _edge_rows(g: WeightedGraph, columns: np.ndarray, dtype) -> np.ndarray:
+    """The rows u_e of [D | columns], as the columns of a (2 + k, |E|) array:
+    D's row at (tail(e), head(e)), which is (0, 0) for a loop, then the k
+    column entries."""
+    ends = g.ends
+    u = np.empty((2 + columns.shape[1], len(ends)), dtype)
+    np.not_equal(ends[:, 0], ends[:, 1], out=u[1])
+    np.negative(u[1], out=u[0])
+    u[2:] = columns.T
+    return u
+
+
+def _scatter(g: WeightedGraph, blocks: np.ndarray) -> np.ndarray:
+    """The (|V| + k)-square sum over the edges e of the (2 + k)-square blocks
+    blocks[:, :, e], placed at the rows and columns (tail(e), head(e), |V|, ...,
+    |V| + k - 1), in the dtype of the blocks: one np.bincount, into the float
+    view of a complex sum.  A loop's entries on its vertex must be 0 already."""
+    s, _, num = blocks.shape
+    n = g.num_vertices
+    size = n + s - 2
+    at = np.empty((s, num), np.intp)
+    at[:2] = g.ends.T
+    at[2:] = np.arange(n, size)[:, None]
+    if not np.iscomplexobj(blocks):
+        index = (at * size)[:, None] + at
+        return np.bincount(index.ravel(), blocks.ravel(), size * size).reshape(size, size)
+    index = (at * (2 * size))[:, None] + 2 * at  # the float view holds entry i at 2i, 2i + 1
+    flat = np.bincount(np.concatenate([index, index + 1], axis=None),
+                       np.concatenate([blocks.real, blocks.imag], axis=None), 2 * size * size)
+    return flat.view(complex).reshape(size, size)
 
 
 def _realify(z) -> complex:
@@ -126,7 +179,8 @@ def ratio_identity_connected(g: WeightedGraph, x: np.ndarray | None,
     x = g.weights if x is None else np.asarray(x, dtype=float)
     theta = np.column_stack([theta])
     lhs = generalized_C(g, x, theta).real / kirchhoff_T(g, x).real
-    a = weighted_frame(x, cycle_space_basis(g)).conj().T @ to_omega(x, theta)
+    r, b1 = _frame_r(g, x, to_omega(x, theta))
+    a = r[:b1, b1:]  # Q^H t for the frame Q
     return RatioReport(lhs, float(np.linalg.det(a.conj().T @ a).real))
 
 
@@ -137,10 +191,18 @@ def ratio_identity_forest(g: WeightedGraph, x: np.ndarray | None,
     x = g.weights if x is None else np.asarray(x, dtype=float)
     phi = np.column_stack([phi])
     lhs = generalized_A(g, x, phi).real / kirchhoff_T(g, x).real
-    q = weighted_frame(x, cycle_space_basis(g))
-    t = to_omega(x, j_x_columns(x, phi))
-    r = t - q @ (q.conj().T @ t)
-    return RatioReport(lhs, float(np.linalg.det(r.conj().T @ r).real))
+    r, b1 = _frame_r(g, x, to_omega(x, j_x_columns(x, phi)))
+    a = r[b1:, b1:]  # the residual t - Q Q^H t has this Gram matrix
+    return RatioReport(lhs, float(np.linalg.det(a.conj().T @ a).real))
+
+
+def _frame_r(g: WeightedGraph, x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
+    """The R factor of the QR of [X^-1/2 Z | t], Z the cycle basis, in the row
+    order of weighted_frame, and b1.  Its first b1 columns give that frame Q,
+    so the block right of them is Q^H t, and the block below that the
+    triangular factor of the residual of t off Q; no Q is formed."""
+    order, a = weighted_rows(x, cycle_space_basis(g))
+    return np.linalg.qr(np.hstack([a, t[order]]), mode="r"), a.shape[1]
 
 
 def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> float:
@@ -153,12 +215,7 @@ def green_height_pairing(g: WeightedGraph, x: np.ndarray, q: np.ndarray) -> floa
     q = _balanced(q)
     if np.any(x == 0):
         raise NumericDegeneracy("the Green pairing divides by the weights, and one is 0")
-    # the Laplacian sum over edges of (h - t)(h - t)^T / x, one scatter; a loop adds 0
-    n, (tails, heads) = g.num_vertices, g.ends.T
-    y = np.where(tails == heads, 0.0, 1.0 / x)
-    diagonal = np.concatenate([tails, heads]) * (n + 1)
-    lap = np.bincount(np.concatenate([diagonal, tails * n + heads, heads * n + tails]),
-                      np.concatenate([y, y, -y, -y]), n * n).reshape(n, n)
+    lap = _laplacian(g, 1.0 / x)
     u = np.linalg.solve(lap[1:, 1:], q[1:])  # the potential, 0 at the pinned vertex 0
     return float((np.conj(q[1:]) @ u).real)
 
@@ -167,13 +224,15 @@ def torus_volume(g: WeightedGraph, x: np.ndarray | None = None,
                  tree: SubgraphMask | None = None) -> float:
     """Norm of the full wedge of cycle images and integral cuts.
 
-    Equals prod(x)^(-1/2) times the tree polynomial; at unit weights it is
+    The family V = [j_x Z | cuts] is square, so its Gram determinant is
+    prod(x) det(V)^2 and the norm prod(x)^(1/2) |det V|, from one slogdet.
+    It equals prod(x)^(-1/2) times the tree polynomial; at unit weights it is
     the number of spanning trees.
     """
     x = g.weights if x is None else np.asarray(x, dtype=float)
-    jcycles = j_x_columns(x, cycle_space_basis(g))
-    fam = np.hstack([jcycles, cut_space_basis(g, tree)])
-    return float(np.sqrt(max(gram_det(x, fam), 0.0)))
+    fam = np.hstack([j_x_columns(x, cycle_space_basis(g)), cut_space_basis(g, tree)])
+    logdet = np.linalg.slogdet(fam)[1]  # -inf, so a volume of 0, for a singular V
+    return float(np.exp(0.5 * np.log(x).sum() + logdet))
 
 
 @dataclass(frozen=True)

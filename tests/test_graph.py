@@ -80,8 +80,9 @@ class TestBoundary:
 
 class TestGraphState:
     def test_graph_keeps_linear_state_after_every_route(self):
-        # every kernel and polynomial forms its incidence matrices per call,
-        # so the graph holds O(|E|) arrays, not the O(|V| |E|) matrices
+        # every kernel and polynomial forms its incidence matrices and
+        # Laplacians per call, so the graph holds O(|E|) arrays, not the
+        # O(|V| |E|) or O(|V|^2) matrices
         rng = np.random.default_rng(64)
         grid = dg.grid_graph(15, 15)
         g = dg.WeightedGraph(grid.num_vertices, grid.edges, rng.uniform(0.5, 2.0, grid.num_edges))
@@ -93,8 +94,11 @@ class TestGraphState:
         polynomials.kirchhoff_T(g, x)
         polynomials.symanzik_psi1(g, x)
         polynomials.symanzik_psi2(g, x, q)
-        polynomials.generalized_C(g, x, measures.random_theta(g, 2, 2))
-        polynomials.generalized_A(g, x, measures.random_phi(g, 2, 3))
+        theta, phi = measures.random_theta(g, 2, 2), measures.random_phi(g, 2, 3)
+        polynomials.generalized_C(g, x, theta)
+        polynomials.generalized_A(g, x, phi)
+        polynomials.ratio_identity_connected(g, x, theta)
+        polynomials.ratio_identity_forest(g, x, phi)
         polynomials.green_height_pairing(g, x, q)
         polynomials.torus_volume(g, x)
         held = sum(a.nbytes for a in vars(g).values() if isinstance(a, np.ndarray))

@@ -339,6 +339,120 @@ class TestComplexContinuation:
         assert abs(det_a - total_a) < 1e-9 * abs(total_a)
 
 
+def _random_multigraph(rng: np.random.Generator) -> dg.WeightedGraph:
+    """A connected multigraph on 2 to 7 vertices: a random tree, then extra
+    edges among which loops and parallel edges are common."""
+    n = int(rng.integers(2, 8))
+    edges = [(int(rng.integers(0, v)), v) for v in range(1, n)]
+    for _ in range(int(rng.integers(1, 8))):
+        kind = rng.integers(3)
+        if kind == 0:  # a loop
+            v = int(rng.integers(n))
+            edges.append((v, v))
+        elif kind == 1:  # parallel to an edge already there
+            t, h = edges[int(rng.integers(len(edges)))]
+            edges.append((h, t) if rng.random() < 0.5 else (t, h))
+        else:
+            edges.append((int(rng.integers(n)), int(rng.integers(n))))
+    return dg.WeightedGraph(n, edges, rng.uniform(0.5, 2.0, len(edges)))
+
+
+def _cut_family_reference(g, x, kind, forms):
+    """T, C or A from the dense reduced coboundary: the Gram determinant of
+    D, of D extended by the forms, or (-1)^k det of D^T X D bordered by the chains."""
+    d = g.coboundary[:, 1:].astype(float)
+    if kind == "T":
+        return linalg.bilinear_gram_det(x, d)
+    if kind == "C":
+        return linalg.bilinear_gram_det(x, np.hstack([d, forms]))
+    k = forms.shape[1]
+    bordered = np.block([[(d.T * x) @ d, d.T @ forms.conj()],
+                         [forms.T @ d, np.zeros((k, k))]])
+    return (-1) ** k * np.linalg.det(bordered)
+
+
+class TestLaplacianRoutes:
+    """T, C and A read the weighted Laplacian, and its borders, off one scatter
+    over the edge ends; they must agree with the dense Gram route to 1e-12,
+    relative to the polynomial's scale: its reference value at positive
+    weights no smaller in modulus (zeros put back, complex ones at |x|)."""
+
+    ROUTES = {"T": lambda g, x, forms: dg.kirchhoff_T(g, x),
+              "C": dg.generalized_C, "A": dg.generalized_A}
+
+    @staticmethod
+    def _weight_kinds(g, rng):
+        x = g.weights
+        zeroed = np.where(rng.random(g.num_edges) < 0.3, 0.0, x)
+        z = rng.uniform(-1, 1, g.num_edges) + 1j * rng.uniform(0.1, 1.1, g.num_edges)
+        return {"real": x, "zeros": zeroed, "complex": z}
+
+    def _check(self, g, rng):
+        seed = int(rng.integers(2 ** 31))
+        for label, x in self._weight_kinds(g, rng).items():
+            positive = np.where(x == 0, g.weights, np.abs(x))
+            for kind, route in self.ROUTES.items():
+                for k in range(4 if kind != "T" else 1):
+                    draw = measures.random_theta if kind == "C" else measures.random_phi
+                    forms = draw(g, k, seed)
+                    value = route(g, x, forms)
+                    if kind == "C" and k > g.betti_1 or kind == "A" and k > g.num_vertices - 1:
+                        assert value == 0.0, (kind, k, label)  # exactly, not to rounding
+                        continue
+                    reference = _cut_family_reference(g, x, kind, forms)
+                    scale = abs(_cut_family_reference(g, positive, kind, forms))
+                    assert abs(value - reference) <= 1e-12 * scale, (kind, k, label, value)
+                    assert isinstance(value, complex)
+                    if label != "complex":
+                        assert value.imag == 0.0
+
+    @pytest.mark.parametrize("side", [3, 8, 15])
+    def test_grids(self, side):
+        rng = np.random.default_rng(side)
+        grid = dg.grid_graph(side, side)
+        g = dg.WeightedGraph(grid.num_vertices, grid.edges, rng.uniform(0.5, 2.0, grid.num_edges))
+        self._check(g, rng)
+
+    def test_random_multigraphs(self):
+        rng = np.random.default_rng(93)
+        for _ in range(50):
+            self._check(_random_multigraph(rng), rng)
+
+    def test_light_loop_adds_nothing(self):
+        # the Green pairing scatters 1/x = 1e12 onto the loop's vertex, where the
+        # loop's four entries would cancel only to about 1e-4 of the diagonal
+        rng = np.random.default_rng(94)
+        g = _random_multigraph(rng)
+        g = dg.WeightedGraph(g.num_vertices, [*g.edges, (1, 1)], [*g.weights, 1e-12])
+        self._check(g, rng)
+        q = rng.standard_normal(g.num_vertices)
+        q -= q.mean()
+        d = g.boundary.astype(float)
+        lap = (d / g.weights) @ d.T
+        expected = q[1:] @ np.linalg.solve(lap[1:, 1:], q[1:])
+        assert dg.green_height_pairing(g, g.weights, q) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("side", [3, 8])
+    def test_torus_volume_and_ratio_right_hand_sides(self, side):
+        rng = np.random.default_rng(95 + side)
+        grid = dg.grid_graph(side, side)
+        g = dg.WeightedGraph(grid.num_vertices, grid.edges, rng.uniform(0.5, 2.0, grid.num_edges))
+        x, z = g.weights, dg.cycle_space_basis(g)
+        fam = np.hstack([linalg.j_x_columns(x, z), dg.cut_space_basis(g)])
+        assert dg.torus_volume(g) == pytest.approx(np.sqrt(linalg.gram_det(x, fam)), rel=1e-12)
+        frame = linalg.weighted_frame(x, z)
+        for k in range(3):
+            theta = measures.random_theta(g, k, 1) * np.exp(1j * rng.uniform(0, 6, k))
+            a = frame.conj().T @ linalg.to_omega(x, theta)
+            rhs = polynomials.ratio_identity_connected(g, None, theta).rhs
+            assert rhs == pytest.approx(np.linalg.det(a.conj().T @ a).real, rel=1e-12, abs=1e-300)
+            phi = measures.random_phi(g, k, 2)
+            t = linalg.to_omega(x, linalg.j_x_columns(x, phi))
+            r = t - frame @ (frame.conj().T @ t)
+            rhs = polynomials.ratio_identity_forest(g, None, phi).rhs
+            assert rhs == pytest.approx(np.linalg.det(r.conj().T @ r).real, rel=1e-12, abs=1e-300)
+
+
 @st.composite
 def polynomial_cases(draw):
     """A connected multigraph of 1 to 12 edges (loops and parallel edges
