@@ -66,13 +66,10 @@ def weighted_frame(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def null_space(a: np.ndarray, what: str) -> np.ndarray:
     """Orthonormal basis of null(a^H) from the complete QR of a weight-free `a`
-    whose columns pass check_pivots."""
-    rows, cols = a.shape
-    if cols == 0:
-        return np.eye(rows, dtype=np.result_type(a, float))
+    whose columns, at least one, pass check_pivots."""
     q, r = np.linalg.qr(a, mode="complete")
     check_pivots(r, what)
-    return q[:, cols:].copy()  # not a view that keeps all of q alive
+    return q[:, a.shape[1]:].copy()  # not a view that keeps all of q alive
 
 
 def check_pivots(r: np.ndarray, what: str) -> None:
@@ -88,7 +85,10 @@ def check_pivots(r: np.ndarray, what: str) -> None:
 
 def _annihilated(basis: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """basis @ null(theta^H basis): the part of span(basis) that the forms annihilate,
-    the complement basis of a range extended by the forms."""
+    the complement basis of a range extended by the forms; the basis itself with
+    no forms."""
+    if not theta.shape[1]:
+        return basis
     pairing = basis.conj().T @ unit_columns(theta)
     return basis @ null_space(pairing, "forms must be independent from the range they extend")
 

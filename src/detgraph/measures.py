@@ -1,22 +1,16 @@
 """Determinantal measures on constrained spanning subgraphs.
 
-Five variants are supported, all projection determinantal processes on the
-edge set in the omega basis:
+Every measure is a projection determinantal process on the edge set, in the
+omega basis, of one of two families:
 
-  ust        spanning trees, kernel = projection onto the exact forms
-  connected  connected spanning subgraphs with first Betti number k; the
-             projection subspace is (exact forms) + span(theta_1..theta_k)
-             and the combinatorial weight of a subgraph K is
-             x^K |det(theta_i(gamma_j))|^2 over an integral cycle basis of K
-  forest     spanning forests with k+1 components; subspace is the part of
-             the exact forms orthogonal to j_x(phi_1..phi_k), weight
-             x^F |det((phi_i, kappa_j))|^2 over cuts separating components
-  crsf       cycle-rooted spanning forests for a unit complex connection h;
-             subspace is the range of the twisted differential, weight
-             x^S prod_cycles |1 - holonomy|^2
-  mixed      both constraints at once: k chains and l forms, samples have
-             Euler characteristic k - l + 1, weight x^S |det M|^2 with M the
-             cycle pairings of theta coupled to the cut pairings of phi
+  chains and forms  c chains phi and f forms theta: the subgraphs S with
+             b0 - b1 = c - f + 1 and max(0, f - c) <= b1 <= f, of weight
+             x^S |det M|^2, M the cycle pairings of theta coupled to the cut
+             pairings of phi.  ust is (c, f) = (0, 0), the spanning trees;
+             connected is (0, k), connected with b1 = k; forest is (k, 0),
+             k + 1 trees; mixed is (k, l)
+  crsf       cycle-rooted spanning forests for a unit complex connection h,
+             weight x^S prod_cycles |1 - holonomy|^2
 
 Everything that differs between the variants (sample size, frame builder,
 support law, weight-free factor, forms) is data in VARIANT_TABLE; the rest of
@@ -107,18 +101,26 @@ def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray
     return m
 
 
+def _chain_boundary(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
+    """d phi, (|V|, k): one scatter of -phi onto each edge's tail and +phi onto its
+    head, a loop's phi masked to 0 so that it adds exactly 0."""
+    phi = phi * (g.ends[:, :1] != g.ends[:, 1:])
+    d_phi = np.zeros((g.num_vertices, phi.shape[1]), dtype=phi.dtype)
+    np.add.at(d_phi, g.ends, np.stack([-phi, phi], axis=1))
+    return d_phi
+
+
 def _with_chains(g: WeightedGraph, phi: np.ndarray) -> np.ndarray:
-    """[conj phi | C] for the unit chains phi and the cycle basis C, independent
-    when d phi has rank k; the chains first, as residuals off the cycles they
-    lose four decades of accuracy at weight spreads of 1e+-14."""
+    """[conj phi | C] for the unit chains phi and the cycle basis C, independent when
+    d phi has rank k, and the integer C itself with no chains; the chains first, as
+    residuals off the cycles they lose four decades of accuracy at spreads of 1e+-14."""
+    cycles = cycle_space_basis(g)
+    if not phi.shape[1]:
+        return cycles
     phi = unit_columns(phi)
-    if phi.shape[1]:
-        d_phi = np.zeros((g.num_vertices, phi.shape[1]), dtype=phi.dtype)
-        np.add.at(d_phi, g.ends[:, 1], phi)  # d phi: +phi onto heads, -phi onto tails
-        np.subtract.at(d_phi, g.ends[:, 0], phi)
-        check_pivots(np.linalg.qr(d_phi, mode="r"),
-                     "chains must be independent from the cycle space")
-    return np.hstack([phi.conj(), cycle_space_basis(g)])
+    check_pivots(np.linalg.qr(_chain_boundary(g, phi), mode="r"),
+                 "chains must be independent from the cycle space")
+    return np.hstack([phi.conj(), cycles])
 
 
 def _variant_with_forms(g: WeightedGraph, spec: MeasureSpec) -> Variant:
@@ -172,26 +174,6 @@ def subgraph_weight(g: WeightedGraph, spec: MeasureSpec, mask: SubgraphMask) -> 
     return SubgraphWeight(topo * mono, mono, topo)
 
 
-def _cycle_factor(t, theta: np.ndarray) -> np.ndarray:
-    """|det(theta_i(gamma_j))|^2 over the cycles of a stack of b1 = k rows."""
-    cycles = t.cycles[:, :theta.shape[1]]
-    # narrower than k only when the stack is empty (k > b1 of the graph)
-    if cycles.shape[1] < theta.shape[1]:
-        return np.zeros(len(cycles))
-    # (theta_i, gamma_j); einsum casts the int8 cycles a buffer at a time
-    pairing = np.einsum("ei,nje->nij", theta, cycles)
-    return np.abs(np.linalg.det(pairing)) ** 2
-
-
-def _cut_factor(g: WeightedGraph, t, phi: np.ndarray) -> np.ndarray:
-    """|det((phi_i, kappa_j))|^2 over the cuts of a stack of b0 = k + 1 rows,
-    kappa_j separating component j: every component but the last, the
-    indicator of its vertices differenced across each edge."""
-    inside = (t.labels[..., None] == np.arange(phi.shape[1])).astype(int)
-    tails, heads = g.ends.T
-    return np.abs(np.linalg.det(phi.T @ (inside[:, heads] - inside[:, tails]))) ** 2
-
-
 def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
     """prod |1 - holonomy|^2 over the cycles of each row, one in each component."""
     h = np.asarray(connection, dtype=complex)
@@ -206,31 +188,44 @@ def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
 
 
 def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """|det M|^2 per row of a stack of the mixed support, M = [[Theta, 0], [P f, P kappa]]:
-    Theta = (theta_a(gamma_j)) over the m = b1 cycles, P = phi^T d, kappa the
-    indicators of every component but the last, and f a potential with
-    d f = -theta on the forest edges.  M is square, of size k + m; padded to
-    k + l by a 1 at (r, k + r) for each absent cycle row r >= m, whose kappa
-    column is absent too."""
+    """|det M|^2 per row of a stack of the support of k chains phi and l forms theta,
+    M = [[Theta, 0], [P f, P kappa]]: Theta = (theta_a(gamma_j)) over the m = b1
+    cycles, P = (d phi)^T, kappa the indicators of every component but the last,
+    and f a potential with d f = -theta on the forest edges.  M is square, of size
+    k + m; padded to k + l by a 1 at (r, k + r) for each absent cycle row r >= m,
+    whose kappa column is absent too.  At m = l, M is block triangular: |det M|^2
+    is |det Theta|^2 |det P kappa|^2, an empty block skipped, so f is solved for
+    on the rows with m < l alone, never for ust, connected or forest."""
     k, l = phi.shape[1], theta.shape[1]
-    cycles = t.cycles[:, :l]
-    cycles = np.pad(cycles, ((0, 0), (0, l - cycles.shape[1]), (0, 0)))
-    # (L + U U^T) f = -d_F^T theta, L the forest Laplacian and U the component
-    # indicators: nonsingular, solved by the f that sums to 0 on each component
-    d = g.coboundary
-    incidence = d[t.subsets] * t.forest[..., None]
-    same = t.labels[:, :, None] == t.labels[:, None, :]
-    f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
-                        -np.swapaxes(incidence, 1, 2) @ theta[t.subsets])
-    p = phi.T @ d
-    kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
-    m = np.zeros((len(t), k + l, k + l), dtype=np.result_type(phi, theta, float))
-    m[:, :l, :l] = np.einsum("nje,ea->nja", cycles, theta)
-    m[:, l:, :l] = p @ f
-    m[:, l:, l:] = p @ kappa.astype(int)
-    rows, absent = np.nonzero(np.arange(l) >= t.b1[:, None])
-    m[rows, absent, k + absent] = 1.0
-    return np.abs(np.linalg.det(m)) ** 2
+    factor = np.ones(len(t))
+    if l:
+        cycles = t.cycles[:, :l]
+        pairing = np.zeros((len(t), l, l), dtype=np.result_type(theta, float))
+        # (theta_a, gamma_j), 0 past the cycles; einsum casts the int8 cycles a buffer at a time
+        pairing[..., :cycles.shape[1]] = np.einsum("ea,nje->naj", theta, cycles)
+        factor *= np.abs(np.linalg.det(pairing)) ** 2
+    if k:
+        p = _chain_boundary(g, phi).T
+        kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
+        cuts = p @ kappa.astype(p.dtype)
+        factor *= np.abs(np.linalg.det(cuts)) ** 2
+    short = np.flatnonzero(t.b1 < l) if k else ()  # rows with m < l, which need k > 0
+    if len(short):
+        # (L + U U^T) f = -d_F^T theta, L the forest Laplacian and U the component
+        # indicators: nonsingular, solved by the f that sums to 0 on each component
+        subsets, labels = t.subsets[short], t.labels[short]
+        incidence = g.coboundary[subsets] * t.forest[short, :, None]
+        same = labels[:, :, None] == labels[:, None, :]
+        f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
+                            -np.swapaxes(incidence, 1, 2) @ theta[subsets])
+        m = np.zeros((len(short), k + l, k + l), dtype=np.result_type(phi, theta, float))
+        m[:, :l, :l] = np.swapaxes(pairing[short], 1, 2)
+        m[:, l:, :l] = p @ f
+        m[:, l:, l:] = cuts[short]
+        rows, absent = np.nonzero(np.arange(l) >= t.b1[short, None])
+        m[rows, absent, k + absent] = 1.0
+        factor[short] = np.abs(np.linalg.det(m)) ** 2
+    return factor
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:
@@ -266,40 +261,48 @@ _DUAL_FORM = {"theta": "phi", "phi": "theta"}
 
 @dataclass(frozen=True)
 class Variant:
-    """What one measure variant is made of."""
+    """What one measure variant is made of.  Two families fill the fields:
+    _chains_and_forms (ust, connected, forest, mixed) and crsf."""
 
     size: Callable[[int, int, int], int]          # sample size from (|V|, k, l)
     frame: Callable[..., np.ndarray]              # (g, spec) -> weight-free complement basis
-    # support law: (topology, k, l) -> bool, on the integer b0, b1 and
-    # component_b1 alone; elementwise, so it serves a SubgraphMask and a
-    # SubsetTopology stack alike
+    # support law: (topology, k, l) -> bool, on the integer b0, b1 and component_b1
+    # alone; elementwise, so it serves a SubgraphMask and a SubsetTopology stack
     support: Callable[..., bool | np.ndarray]
-    # (g, stack, spec) -> the weight-free factor of each row of a
-    # SubsetTopology stack of the support: the weight divided by x^S
-    factor: Callable[..., np.ndarray]
+    factor: Callable[..., np.ndarray]             # (g, stack, spec) -> weight / x^S per row
     forms: dict[str, str | None]                  # spec field -> its column count (k or l)
     dual: str | None = None                       # variant under planar duality
 
 
+def _chains_and_forms(forms: dict[str, str], dual: str | None = None) -> Variant:
+    """The measure of c chains phi and f forms theta, the spec fields `forms` names
+    with their counts, no columns for a field it does not name: ust is (c, f) =
+    (0, 0), connected (0, k), forest (k, 0) and mixed (k, l)."""
+    def counts(k, l):  # (c, f)
+        return [{"k": k, "l": l}.get(forms.get(key), 0) for key in ("phi", "theta")]
+
+    def columns(g, spec):  # (phi, theta)
+        return [getattr(spec, key) if key in forms else np.zeros((g.num_edges, 0))
+                for key in ("phi", "theta")]
+
+    def support(t, k, l):
+        c, f = counts(k, l)
+        return (t.b0 - t.b1 == c - f + 1) & (t.b1 <= f)  # so b1 >= f - c, as b0 >= 1
+
+    def frame(g, spec):
+        phi, theta = columns(g, spec)
+        return _annihilated(_with_chains(g, phi), theta)
+
+    return Variant(size=lambda n, k, l: n - 1 - counts(k, l)[0] + counts(k, l)[1],
+                   frame=frame, support=support,
+                   factor=lambda g, t, spec: _mixed_factor(g, t, *columns(g, spec)),
+                   forms=forms, dual=dual)
+
+
 VARIANT_TABLE: dict[str, Variant] = {
-    "ust": Variant(
-        size=lambda n, k, l: n - 1,
-        frame=lambda g, spec: cycle_space_basis(g),
-        support=lambda t, k, l: (t.b0 == 1) & (t.b1 == 0),
-        factor=lambda g, t, spec: np.ones(len(t)),
-        forms={}, dual="ust"),
-    "connected": Variant(
-        size=lambda n, k, l: n - 1 + k,
-        frame=lambda g, spec: _annihilated(cycle_space_basis(g), spec.theta),
-        support=lambda t, k, l: (t.b0 == 1) & (t.b1 == k),
-        factor=lambda g, t, spec: _cycle_factor(t, spec.theta),
-        forms={"theta": "k"}, dual="forest"),
-    "forest": Variant(
-        size=lambda n, k, l: n - 1 - k,
-        frame=lambda g, spec: _with_chains(g, spec.phi),
-        support=lambda t, k, l: (t.b0 == k + 1) & (t.b1 == 0),
-        factor=lambda g, t, spec: _cut_factor(g, t, spec.phi),
-        forms={"phi": "k"}, dual="connected"),
+    "ust": _chains_and_forms({}, dual="ust"),
+    "connected": _chains_and_forms({"theta": "k"}, dual="forest"),
+    "forest": _chains_and_forms({"phi": "k"}, dual="connected"),
     "crsf": Variant(
         size=lambda n, k, l: n,
         frame=lambda g, spec: null_space(twisted_differential(g, spec.connection),
@@ -308,13 +311,7 @@ VARIANT_TABLE: dict[str, Variant] = {
         support=lambda t, k, l: (t.b1 == t.b0) & (np.max(t.component_b1, axis=-1) <= 1),
         factor=lambda g, t, spec: _holonomy_factor(t, spec.connection),
         forms={"connection": None}),
-    "mixed": Variant(
-        size=lambda n, k, l: n - 1 - k + l,
-        frame=lambda g, spec: _annihilated(_with_chains(g, spec.phi), spec.theta),
-        support=lambda t, k, l: ((t.b0 - t.b1 == k - l + 1)
-                                 & (max(0, l - k) <= t.b1) & (t.b1 <= l)),
-        factor=lambda g, t, spec: _mixed_factor(g, t, spec.phi, spec.theta),
-        forms={"phi": "k", "theta": "l"}),
+    "mixed": _chains_and_forms({"phi": "k", "theta": "l"}),
 }
 VARIANTS = tuple(VARIANT_TABLE)
 

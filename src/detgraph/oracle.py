@@ -91,10 +91,10 @@ def _scan(g: WeightedGraph, variant: measures.Variant, k: int, l: int, row_bytes
 def enumerate_family(g: WeightedGraph, family: str, k: int = 0, l: int = 0) -> Family:
     """Exact subgraph family by exhaustive filtering with a support law.
 
-    family is a variant name of measures.VARIANT_TABLE: "connected" (b1 = k,
-    connected spanning; "ust" is its k = 0 case), "forest" (acyclic, k+1
-    components), "crsf" (every component unicyclic), or "mixed" (Euler
-    characteristic k-l+1 with the b1 window).
+    family is a variant name of measures.VARIANT_TABLE: ust, connected, forest
+    and mixed, the one family of c chains and f forms at (c, f) = (0, 0), (0, k),
+    (k, 0) and (k, l), have b0 - b1 = c - f + 1 and max(0, f - c) <= b1 <= f;
+    crsf has one cycle in every component.
     """
     check_enumeration_cap(g.num_edges)
     members = [t.take(keep) for _, t, keep in _scan(g, measures.variant_of(family), k, l)]

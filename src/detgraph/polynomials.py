@@ -227,9 +227,11 @@ def torus_volume(g: WeightedGraph, x: np.ndarray | None = None,
     The family V = [j_x Z | cuts] is square, so its Gram determinant is
     prod(x) det(V)^2 and the norm prod(x)^(1/2) |det V|, from one slogdet.
     It equals prod(x)^(-1/2) times the tree polynomial; at unit weights it is
-    the number of spanning trees.
+    the number of spanning trees.  NumericDegeneracy for a weight <= 0.
     """
     x = g.weights if x is None else np.asarray(x, dtype=float)
+    if np.any(x <= 0):
+        raise NumericDegeneracy(f"the torus volume takes the log of the weights, one is {x.min()}")
     fam = np.hstack([j_x_columns(x, cycle_space_basis(g)), cut_space_basis(g, tree)])
     logdet = np.linalg.slogdet(fam)[1]  # -inf, so a volume of 0, for a singular V
     return float(np.exp(0.5 * np.log(x).sum() + logdet))

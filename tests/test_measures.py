@@ -446,6 +446,41 @@ class TestMixedSupportViaDensities:
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def _reduction_graph(case):
+    """The 3x3 grid (case 0), or a seeded multigraph with a loop and a parallel pair."""
+    if case == 0:
+        return dg.grid_graph(3, 3)
+    rng = np.random.default_rng(4100 + case)
+    g = random_connected_graph(rng, 9, min_b1=2, min_vertices=3)
+    tail, head = g.edges[0]
+    return dg.WeightedGraph(g.num_vertices, [*g.edges, (head, tail), (head, head)],
+                            [*g.weights, *rng.uniform(0.5, 2.0, 2)])
+
+
+class TestMixedReductions:
+    """mixed with no chains is connected, with no forms forest, and with neither ust."""
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("reduced", ["connected", "forest", "ust"])
+    def test_mixed_spec_reduces(self, case, reduced):
+        g = _reduction_graph(case)
+        none = np.zeros((g.num_edges, 0))
+        theta, phi = _theta(g, 2, 3), _phi(g, 2, 4)
+        mixed, spec = {
+            "connected": (MeasureSpec.mixed(none, theta), MeasureSpec.connected_k(theta)),
+            "forest": (MeasureSpec.mixed(phi, none), MeasureSpec.forest_k(phi)),
+            "ust": (MeasureSpec.mixed(none, none), MeasureSpec.ust()),
+        }[reduced]
+        family = oracle.enumerate_family(g, "mixed", k=mixed.k, l=mixed.l)
+        expected = oracle.enumerate_family(g, reduced, k=spec.k)
+        assert len(family) > 0
+        assert np.array_equal(family.subsets, expected.subsets)
+        assert np.array_equal(dg.build_kernel(g, mixed).matrix, dg.build_kernel(g, spec).matrix)
+        weights = measures.stack_weight(g, mixed, family.topology, g.weights)
+        np.testing.assert_allclose(
+            weights, measures.stack_weight(g, spec, expected.topology, g.weights), rtol=1e-14)
+
+
 class TestVariantTable:
     @pytest.mark.parametrize("variant", measures.VARIANTS)
     def test_table_is_consistent(self, variant):

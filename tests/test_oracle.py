@@ -240,8 +240,13 @@ class TestMixedWeight:
 
     @pytest.mark.parametrize("perturb", ["alternate rows", "forms"])
     def test_perturbed_weight_fails(self, perturb, monkeypatch):
+        # ust, connected, forest and mixed all weigh through _mixed_factor, so
+        # the oracle must see a perturbed factor in each; only those with forms
+        # can have their forms perturbed
         factor = measures._mixed_factor
+        kinds = [("mixed", 1, 1), ("connected", 1, 0)]
         if perturb == "alternate rows":
+            kinds += [("ust", 0, 0), ("forest", 1, 0)]
             monkeypatch.setattr(measures, "_mixed_factor", lambda g, t, phi, theta: (
                 factor(g, t, phi, theta) * (1.0 + 0.01 * (np.arange(len(t)) % 2))))
         else:
@@ -249,8 +254,24 @@ class TestMixedWeight:
                 factor(g, t, phi, theta + 1e-3 * theta[::-1])))
         g = dg.WeightedGraph(6, [*dg.grid_graph(2, 3).edges, (0, 4), (2, 4)],
                              np.random.default_rng(3).uniform(0.5, 2.0, 9))
-        spec = measures.random_spec(g, "mixed", 1, 1, 5)
-        assert oracle.compare_measure(g, spec).max_density_error > 1e-6
+        for variant, k, l in kinds:
+            spec = measures.random_spec(g, variant, k, l, 5)
+            assert oracle.compare_measure(g, spec).max_density_error > 1e-6, variant
+
+    def test_forest_factor_with_a_dominant_loop_coefficient(self):
+        # d phi takes a loop as exactly 0: scattering its +phi and -phi both
+        # would round away the 1e-8 coefficients already at the loop's vertex
+        base = dg.grid_graph(3, 3)
+        g = dg.WeightedGraph(9, [*base.edges, (0, 0)])
+        phi = 1e-8 * np.random.default_rng(12).uniform(0.5, 1.0, (g.num_edges, 1))
+        phi[-1] = 1.0
+        # a spanning tree of vertices 1..8: vertex 0, with the loop, is a component
+        mask = g.mask([1, 2, 3, 4, 5, 7, 9])
+        assert (mask.b0, mask.b1, mask.labels[0]) == (2, 0, 0)
+        cuts = [[int(mask.labels[h] == 0) - int(mask.labels[t] == 0)] for t, h in g.edges]
+        expected = abs(np.linalg.det(phi.T @ np.array(cuts))) ** 2
+        w = dg.subgraph_weight(g, measures.MeasureSpec.forest_k(phi), mask)
+        assert w.topological == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 class TestComparePolynomial:

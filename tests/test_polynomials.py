@@ -264,6 +264,15 @@ class TestTorusVolume:
         expected = np.prod(g.weights) ** -0.5 * dg.kirchhoff_T(g).real
         assert dg.torus_volume(g) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_weight_not_positive_refused(self, weight):
+        g = dg.grid_graph(5, 5)
+        x = np.ones(g.num_edges)
+        x[7] = weight
+        with pytest.raises(NumericDegeneracy, match=f"one is {weight}"):
+            dg.torus_volume(g, x)
+
     def test_any_tree_gives_same_volume(self, square_with_chord):
         g = square_with_chord
         trees = oracle.enumerate_family(g, "ust")
