@@ -142,11 +142,11 @@ def sample_batch(kernel: ProjectionKernel, seed: int, count: int) -> list[frozen
 
 
 def _chain_rule(kernel: ProjectionKernel, seed: int, count: int) -> list[frozenset[int]]:
-    k, r = kernel.matrix, kernel.rank
-    n = k.shape[0]
+    k, r, n = kernel.matrix, kernel.rank, kernel.size
     # r uniforms per sample, one per step, from the sample's own Philox stream
-    uniforms = np.array([_rng.stream(seed + b, _rng.TAG_SAMPLER).random(r)
-                         for b in range(count)])
+    uniforms = np.empty((count, r))
+    for b in range(count):
+        _rng.stream(seed + b, _rng.TAG_SAMPLER).random(out=uniforms[b])
     norms = np.tile(np.diag(k).real, (count, 1))
     # C^T, one Gram-Schmidt column per step.  K is Hermitian, so its rows are
     # the conjugated columns: C holds the conjugates of the column recursion's
@@ -159,7 +159,7 @@ def _chain_rule(kernel: ProjectionKernel, seed: int, count: int) -> list[frozens
         probs = np.minimum(norms, 1.0)
         probs[probs < PROB_FLOOR] = 0.0
         total = probs.sum(axis=1)
-        if np.any(total <= 0.0):
+        if not (total > 0.0).all():  # a NaN total fails too
             raise NumericDegeneracy("projector drift exhausted the diagonal")
         probs /= total[:, None]
         idx = _rng.categorical(uniforms[:, step], probs)
@@ -175,7 +175,7 @@ def _chain_rule(kernel: ProjectionKernel, seed: int, count: int) -> list[frozens
         cols[:, step, :] = c
         norms -= c.real ** 2 + c.imag ** 2 if is_complex else c ** 2
         norms[rows, idx] = 0.0  # chosen rows only decrease from here, so stay excluded
-    return [frozenset(int(j) for j in chosen[b]) for b in range(count)]
+    return [frozenset(row) for row in chosen.tolist()]
 
 
 def _in_range(kernel: ProjectionKernel, indices) -> np.ndarray:

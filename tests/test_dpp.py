@@ -103,6 +103,17 @@ class TestSample:
         with pytest.raises(NumericDegeneracy, match="projector drift exhausted the diagonal"):
             dg.sample(triangle_ust, 0)
 
+    def test_nan_diagonal_is_refused(self):
+        # a NaN total is not <= 0, so only a guard that asks for total > 0 sees it
+        k = dg.build_kernel(dg.grid_graph(3, 3), dg.MeasureSpec.ust())
+        m = k.matrix.copy()
+        m[4, 4] = np.nan
+        broken = dpp.ProjectionKernel._of(m, k.rank)
+        with pytest.raises(NumericDegeneracy, match="projector drift exhausted the diagonal"):
+            dg.sample(broken, 0)
+        with pytest.raises(NumericDegeneracy, match="projector drift exhausted the diagonal"):
+            dg.sample_batch(broken, 0, 4)
+
     def test_singleton_marginals(self):
         g = _four_cycle()
         k = dg.build_kernel(g, dg.MeasureSpec.ust())
