@@ -104,6 +104,8 @@ class WeightedGraph:
     num_vertices: int
     edges: tuple[tuple[int, int], ...]
     weights: np.ndarray
+    # the min-index spanning tree, full_mask()._forest: the connectivity check's joins
+    _forest: tuple[int, ...] = field(init=False, repr=False)
 
     def __init__(self, num_vertices: int, edges: Sequence[tuple[int, int]],
                  weights: Sequence[float] | None = None):
@@ -121,12 +123,16 @@ class WeightedGraph:
         for t, h in edges:
             if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                 raise ValueError(f"edge ({t},{h}) out of vertex range")
-        # too few edges to connect: refused before the union-find allocates per vertex
-        if len(edges) < num_vertices - 1 or max(components_of(num_vertices, edges)) > 0:
+        forest = ()
+        if len(edges) >= num_vertices - 1:  # fewer cannot connect: no union-find allocated
+            uf = _UnionFind(num_vertices)
+            forest = tuple(i for i, e in enumerate(edges) if uf.union(*e))
+        if len(forest) < num_vertices - 1:
             raise ValueError("graph must be connected")
         object.__setattr__(self, "num_vertices", num_vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_forest", forest)
 
     @property
     def num_edges(self) -> int:
@@ -149,7 +155,8 @@ class WeightedGraph:
         """Matrix of the differential on vertex functions, in the dual edge basis:
         row e is head(e) - tail(e), 0 for a loop.  Formed on each read, a fresh
         array; a call that needs it twice reads it once."""
-        return _incidence(self, int)
+        v = np.arange(self.num_vertices)
+        return (self.ends[:, 1:] == v).astype(int) - (self.ends[:, :1] == v)
 
     @property
     def boundary(self) -> np.ndarray:
@@ -187,17 +194,6 @@ class WeightedGraph:
             raise MalformedInput("graph JSON needs integer num_vertices, tail and head "
                                  "and numeric weights")
         return WeightedGraph(num_vertices, edges, weights)
-
-
-def _incidence(g: WeightedGraph, dtype) -> np.ndarray:
-    """The coboundary of g in the given dtype: one scatter of +1 onto each
-    edge's head and -1 onto its tail, which cancel on a loop."""
-    m = np.zeros((g.num_edges, g.num_vertices), dtype=dtype)
-    flat = m.reshape(-1)  # a view: flat index of (e, v) is e |V| + v
-    rows = np.arange(0, m.size, g.num_vertices)
-    flat[rows + g.ends[:, 1]] = 1
-    flat[rows + g.ends[:, 0]] -= 1
-    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,9 +448,9 @@ def min_index_spanning_tree(g: WeightedGraph, within: SubgraphMask | None = None
     """Deterministic spanning tree/forest: greedy over ascending edge indices.
 
     Restricted to `within` if given; spans each component of `within`
-    (the whole graph when `within` is None).  The forest its mask keeps.
+    (the whole graph when `within` is None).  The forest the graph or `within` keeps.
     """
-    return g.mask((g.full_mask() if within is None else within)._forest)
+    return g.mask((g if within is None else within)._forest)
 
 
 def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -> np.ndarray:
@@ -463,16 +459,17 @@ def cycle_space_basis(g: WeightedGraph, *, within: SubgraphMask | None = None) -
     The fundamental cycles of its min-index spanning forest, one per remaining
     edge in ascending order, so the signs are reproducible.
     """
-    mask = g.full_mask() if within is None else within
-    closing = sorted(mask.edge_set.difference(mask._forest))
-    return _cycles(g, mask._forest, _forest_paths(g, mask._forest), closing)
+    forest = (g if within is None else within)._forest
+    edges = range(g.num_edges) if within is None else within.edge_set
+    closing = sorted(set(edges).difference(forest))
+    return _cycles(g, forest, _forest_paths(g, forest), closing)
 
 
 def cut_space_basis(g: WeightedGraph, tree: SubgraphMask | None = None) -> np.ndarray:
     """Integral basis of the cut space as columns, one per tree edge in
     ascending order; the min-index tree when no tree is given."""
     if tree is None:
-        return _cuts(g, _forest_paths(g, g.full_mask()._forest))
+        return _cuts(g, _forest_paths(g, g._forest))
     return _cuts(g, _tree_paths(g, tree))
 
 

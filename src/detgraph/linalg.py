@@ -120,6 +120,11 @@ def unit_columns(columns: np.ndarray) -> np.ndarray:
     return a / np.where(norm > 0, norm, 1.0)
 
 
+def _abs_det2(a: np.ndarray) -> np.ndarray:
+    """|det|^2 of a square matrix or of each matrix of a stack; 1 for 0 x 0."""
+    return np.abs(np.linalg.det(a)) ** 2 if a.shape[-1] else np.ones(a.shape[:-2])
+
+
 def gram_det(x: np.ndarray, vectors: list[np.ndarray] | np.ndarray) -> float:
     """Determinant of the weighted Gram matrix; 0 iff the family is dependent.
 

@@ -22,7 +22,7 @@ import numpy as np
 from .dpp import ProjectionKernel
 from .errors import ImpossibleCondition, MalformedInput, RankDeficient
 from .graph import check_enumeration_cap, subset_blocks
-from .linalg import RANK_RTOL, _annihilated, gram_det
+from .linalg import RANK_RTOL, _abs_det2, _annihilated, gram_det
 
 CONDITION_WARN = 1e-8
 
@@ -38,7 +38,8 @@ class LinearMatroid:
     rank: int
 
     def __init__(self, matrix: np.ndarray, weights: np.ndarray | None = None):
-        m = np.asarray(matrix, dtype=complex).copy()
+        m = np.asarray(matrix)
+        m = m.astype(np.result_type(m, float))  # a copy
         if m.ndim != 2 or not np.all(np.isfinite(m)):
             raise ValueError("representing matrix must be 2-dimensional and finite")
         d = m.shape[1]
@@ -48,7 +49,7 @@ class LinearMatroid:
         # the one SVD of R; numpy 1.24 has none for an empty matrix
         _, s, vh = np.linalg.svd(m) if min(m.shape) else (None, np.zeros(0), np.zeros((0, d)))
         rank = int(_rank_of(s))
-        z = vh[rank:, :].conj().T if rank else np.eye(d, dtype=complex)
+        z = vh[rank:, :].conj().T if rank else np.eye(d, dtype=m.dtype)
         image = vh[:rank, :].T * s[:rank]
         for a in (m, w, z, image):
             a.setflags(write=False)
@@ -108,7 +109,7 @@ class LinearMatroid:
         rest = [j for j in range(self.ground_size) if j not in basis]
         # the column of j has coefficient 1 on j, and its support inside the basis
         # solves one square system in the coordinates of `image`
-        z = np.zeros((self.ground_size, len(rest)), dtype=complex)
+        z = np.zeros((self.ground_size, len(rest)), dtype=self.image.dtype)
         z[list(basis)] = np.linalg.solve(self.image[list(basis)].T, -self.image[rest].T)
         z[rest, np.arange(len(rest))] = 1.0
         return z
@@ -123,11 +124,6 @@ def _singular_values(a: np.ndarray) -> np.ndarray:
 def _rank_of(s: np.ndarray) -> np.ndarray:
     """Singular values above RANK_RTOL times the largest one, per matrix of a stack."""
     return (s > RANK_RTOL * s.max(axis=-1, keepdims=True, initial=0.0)).sum(axis=-1)
-
-
-def _abs_det2(a: np.ndarray) -> np.ndarray:
-    """|det|^2 of a square matrix or of each matrix of a stack; 1 for 0 x 0."""
-    return np.abs(np.linalg.det(a)) ** 2 if a.shape[-1] else np.ones(a.shape[:-2])
 
 
 def from_matrix(matrix: np.ndarray, weights: np.ndarray | None = None) -> LinearMatroid:
@@ -186,7 +182,7 @@ def circuit_density(m: LinearMatroid, basis,
                     z: np.ndarray | None = None) -> float | np.ndarray:
     """x^T |det z[T^c]|^2 = |det(z/Z_T)|^2 x^T for a basis T that is not checked,
     or for each row of an (N, rank) array of them; z defaults to Z."""
-    z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
+    z = m.kernel_basis if z is None else np.asarray(z)
     rows = _rows(basis)
     if m.ground_size - rows.shape[1] != z.shape[1]:
         raise ValueError("complement size must equal the family size")
@@ -217,7 +213,7 @@ def restricted_kernel_basis(m: LinearMatroid, k_set) -> np.ndarray:
         kernels = vh[:, m.rank:].conj().swapaxes(1, 2)
     else:  # R = 0, whose kernel LinearMatroid takes as the identity, with no SVD
         kernels = np.eye(rows.shape[1])
-    z = np.zeros((len(rows), m.ground_size, rows.shape[1] - m.rank), dtype=complex)
+    z = np.zeros((len(rows), m.ground_size, rows.shape[1] - m.rank), dtype=m.kernel_basis.dtype)
     z[np.arange(len(rows))[:, None], rows] = kernels
     return z if np.ndim(k_set) == 2 else z[0]
 
@@ -288,7 +284,7 @@ def extension_weight(m: LinearMatroid, theta: np.ndarray, k_set,
     theta holds the k forms as columns, z_K spans the kernel restricted to K,
     and r is the ratio of ratio_constant for the kernel family z (default Z).
     """
-    z = m.kernel_basis if z is None else np.asarray(z, dtype=complex)
+    z = m.kernel_basis if z is None else np.asarray(z)
     rows = _rows(k_set)
     zk = restricted_kernel_basis(m, rows)
     w = m.weights[rows].prod(axis=-1) * _basis_ratio(m, z, zk, rows) * _abs_det2(theta.T @ zk)
@@ -309,9 +305,9 @@ def partition_functions(m: LinearMatroid, theta: np.ndarray | None = None,
     b_val = gram_det(x, m.image)
     k_raw = float(np.prod(x)) * gram_det(x, np.conj(m.kernel_basis) / x[:, None])
 
-    out = {"B": b_val, "K": k_raw, "normalization": scale_to_match_B(m)}
+    out = {"B": b_val, "K": k_raw}
     if theta is not None:
-        theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
+        theta = np.asarray(theta).reshape(m.ground_size, -1)
         out["L"] = gram_det(x, np.hstack([m.image, theta]))
     return out
 
@@ -338,7 +334,7 @@ def theorem_measure(m: LinearMatroid, theta: np.ndarray):
     of an admissible (rank+k)-set K is extension_weight, and normalized
     weights match the kernel densities.
     """
-    theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
+    theta = np.asarray(theta).reshape(m.ground_size, -1)
     kernel = ProjectionKernel.complement_of(m.weights, _annihilated(m.kernel_basis.conj(), theta))
     return kernel, partial(extension_weight, m, theta)
 
@@ -363,7 +359,7 @@ def circuit_basis_identity_check(m: LinearMatroid,
     sign included.  Basis membership is read off the one stacked scan of
     `m.bases`, so no complement takes an SVD of its own.
     """
-    z = m.kernel_basis if z_columns is None else np.asarray(z_columns, dtype=complex)
+    z = m.kernel_basis if z_columns is None else np.asarray(z_columns)
     b = z.shape[1]
     bases = set(m.bases)
     worst, checked = 0.0, 0
@@ -400,4 +396,5 @@ def matroid_from_json(text: str) -> LinearMatroid:
             or pairs.shape != (shape[0] * shape[1], 2):
         raise MalformedInput("matroid JSON needs target_dim x ground_size [re, im] pairs "
                              f"in R, got shape {pairs.shape}")
-    return LinearMatroid((pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape), weights)
+    r = pairs[:, 0] + 1j * pairs[:, 1] if pairs[:, 1].any() else pairs[:, 0]  # real if it can be
+    return LinearMatroid(r.reshape(shape), weights)

@@ -5,8 +5,9 @@ omega basis, of one of two families:
 
   chains and forms  c chains phi and f forms theta: the subgraphs S with
              b0 - b1 = c - f + 1 and max(0, f - c) <= b1 <= f, of weight
-             x^S |det M|^2, M the cycle pairings of theta coupled to the cut
-             pairings of phi.  ust is (c, f) = (0, 0), the spanning trees;
+             x^S |det M|^2, M of size c + f the cycle pairings of theta coupled
+             to the cut pairings of phi, one stacked determinant over every row
+             of a stack.  ust is (c, f) = (0, 0), the spanning trees;
              connected is (0, k), connected with b1 = k; forest is (k, 0),
              k + 1 trees; mixed is (k, l)
   crsf       cycle-rooted spanning forests for a unit complex connection h,
@@ -30,8 +31,9 @@ import numpy as np
 from . import rng as _rng
 from .dpp import ProjectionKernel, sample
 from .errors import DegenerateForms, MalformedInput
-from .graph import SubgraphMask, SubsetTopology, WeightedGraph, _incidence, cycle_space_basis
-from .linalg import _annihilated, _complex_pairs, check_pivots, null_space, unit_columns
+from .graph import SubgraphMask, SubsetTopology, WeightedGraph, cycle_space_basis
+from .linalg import (_abs_det2, _annihilated, _complex_pairs, check_pivots, null_space,
+                     unit_columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +86,12 @@ class SubgraphWeight:
     topological: float
 
 
+def _check_unit_modulus(h: np.ndarray) -> None:
+    """ValueError unless each connection value has modulus 1 to 1e-12; NaN fails too."""
+    if not (np.abs(np.abs(h) - 1.0) <= 1e-12).all():
+        raise ValueError("connection values must have unit modulus")
+
+
 def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray:
     """Matrix of the covariant derivative for a connection, in e* coordinates.
 
@@ -93,11 +101,11 @@ def twisted_differential(g: WeightedGraph, connection: np.ndarray) -> np.ndarray
     h = np.asarray(connection, dtype=complex)
     if h.shape != (g.num_edges,):
         raise ValueError("one connection value per edge required")
-    if np.any(np.abs(np.abs(h) - 1.0) > 1e-12):
-        raise ValueError("connection values must have unit modulus")
-    m = _incidence(g, complex)
-    # one scatter onto the tails: -1 becomes -h_e, and a loop's 0 becomes 1 - h_e
-    m[np.arange(g.num_edges), g.ends[:, 0]] += 1.0 - h
+    _check_unit_modulus(h)
+    m = np.zeros((g.num_edges, g.num_vertices), dtype=complex)
+    rows = np.arange(g.num_edges)
+    m[rows, g.ends[:, 1]] = 1.0
+    m[rows, g.ends[:, 0]] -= h  # exactly -h_e, and a loop's 1 - h_e
     return m
 
 
@@ -130,6 +138,8 @@ def _variant_with_forms(g: WeightedGraph, spec: MeasureSpec) -> Variant:
         shape = (g.num_edges,) if count is None else (g.num_edges, getattr(spec, count))
         if np.shape(getattr(spec, key)) != shape:
             raise DegenerateForms(f"{spec.variant} measure needs {key} of shape {shape}")
+        if key == "connection":
+            _check_unit_modulus(spec.connection)
     return variant
 
 
@@ -189,43 +199,34 @@ def _holonomy_factor(t, connection: np.ndarray) -> np.ndarray:
 
 def _mixed_factor(g: WeightedGraph, t, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """|det M|^2 per row of a stack of the support of k chains phi and l forms theta,
-    M = [[Theta, 0], [P f, P kappa]]: Theta = (theta_a(gamma_j)) over the m = b1
-    cycles, P = (d phi)^T, kappa the indicators of every component but the last,
-    and f a potential with d f = -theta on the forest edges.  M is square, of size
-    k + m; padded to k + l by a 1 at (r, k + r) for each absent cycle row r >= m,
-    whose kappa column is absent too.  At m = l, M is block triangular: |det M|^2
-    is |det Theta|^2 |det P kappa|^2, an empty block skipped, so f is solved for
-    on the rows with m < l alone, never for ust, connected or forest."""
+    M = [[Theta, 0], [P f, P kappa]] of size l + k: Theta = (theta_a(gamma_j)) over the
+    m = b1 cycles, P = (d phi)^T, kappa the indicators of every component but the last,
+    and f a potential with d f = -theta on the forest edges.  Each absent cycle row
+    r >= m is a 1 at (r, k + r), whose kappa column is absent too.  At m = l, M is
+    block triangular and P f does not enter det M, so f is solved for on the rows with
+    m < l alone, never for ust, connected or forest; ust's M is 0 x 0, of factor 1."""
     k, l = phi.shape[1], theta.shape[1]
-    factor = np.ones(len(t))
-    if l:
-        cycles = t.cycles[:, :l]
-        pairing = np.zeros((len(t), l, l), dtype=np.result_type(theta, float))
-        # (theta_a, gamma_j), 0 past the cycles; einsum casts the int8 cycles a buffer at a time
-        pairing[..., :cycles.shape[1]] = np.einsum("ea,nje->naj", theta, cycles)
-        factor *= np.abs(np.linalg.det(pairing)) ** 2
-    if k:
-        p = _chain_boundary(g, phi).T
-        kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
-        cuts = p @ kappa.astype(p.dtype)
-        factor *= np.abs(np.linalg.det(cuts)) ** 2
-    short = np.flatnonzero(t.b1 < l) if k else ()  # rows with m < l, which need k > 0
+    m = np.zeros((len(t), l + k, l + k), dtype=np.result_type(phi, theta, float))
+    cycles = t.cycles[:, :l]
+    # (gamma_j, theta_a), 0 past the cycles; einsum casts the int8 cycles a buffer at a time
+    m[:, :cycles.shape[1], :l] = np.einsum("nje,ea->nja", cycles, theta)
+    p = _chain_boundary(g, phi).T
+    kappa = (t.labels[..., None] == np.arange(k)) & (np.arange(k) < t.b0[:, None, None] - 1)
+    m[:, l:, l:] = p @ kappa.astype(p.dtype)
+    short = np.flatnonzero(t.b1 < l)  # in the support, these rows have k > 0
     if len(short):
         # (L + U U^T) f = -d_F^T theta, L the forest Laplacian and U the component
         # indicators: nonsingular, solved by the f that sums to 0 on each component
         subsets, labels = t.subsets[short], t.labels[short]
-        incidence = g.coboundary[subsets] * t.forest[short, :, None]
+        ends = g.ends[subsets][..., None] == np.arange(g.num_vertices)  # (n, s, 2, |V|)
+        incidence = (ends[..., 1, :] * 1.0 - ends[..., 0, :]) * t.forest[short, :, None]
         same = labels[:, :, None] == labels[:, None, :]
         f = np.linalg.solve(np.swapaxes(incidence, 1, 2) @ incidence + same,
                             -np.swapaxes(incidence, 1, 2) @ theta[subsets])
-        m = np.zeros((len(short), k + l, k + l), dtype=np.result_type(phi, theta, float))
-        m[:, :l, :l] = np.swapaxes(pairing[short], 1, 2)
-        m[:, l:, :l] = p @ f
-        m[:, l:, l:] = cuts[short]
+        m[short, l:, :l] = p @ f
         rows, absent = np.nonzero(np.arange(l) >= t.b1[short, None])
-        m[rows, absent, k + absent] = 1.0
-        factor[short] = np.abs(np.linalg.det(m)) ** 2
-    return factor
+        m[short[rows], absent, k + absent] = 1.0
+    return _abs_det2(m)
 
 
 def random_theta(g: WeightedGraph, k: int, seed: int) -> np.ndarray:

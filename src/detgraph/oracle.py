@@ -187,7 +187,7 @@ def _weight_sum(g: WeightedGraph, x: np.ndarray | None, spec: measures.MeasureSp
     refuses, is a point of the sum too.
     """
     x = np.asarray(g.weights if x is None else x, dtype=float)
-    fam = enumerate_family(g, spec.variant, k=spec.k)
+    fam = enumerate_family(g, spec.variant, k=spec.k, l=spec.l)
     return float(measures.stack_weight(g, spec, fam.topology, x).sum())
 
 
@@ -212,7 +212,7 @@ def matroid_basis_sums(m: matroid_mod.LinearMatroid,
 def matroid_L_sum(m: matroid_mod.LinearMatroid, theta: np.ndarray,
                   z_columns: np.ndarray | None = None) -> float:
     """Defining sum of the k-extension polynomial, one stacked sum per block of k-sets."""
-    theta = np.asarray(theta, dtype=complex).reshape(m.ground_size, -1)
+    theta = np.asarray(theta).reshape(m.ground_size, -1)
     k = theta.shape[1]
     return float(sum(matroid_mod.extension_weight(m, theta, t, z_columns).sum() for t
                      in _matroid_blocks(m, m.bases_of_rank_k_extension(k), m.rank + k)))

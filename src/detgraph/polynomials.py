@@ -66,9 +66,8 @@ def flow_with_divergence(g: WeightedGraph, q: np.ndarray) -> np.ndarray:
     matrix T, so each tree edge carries the charge of its head side.  An
     einsum, as q @ T would first cast all of the int8 T to q's dtype."""
     q = _balanced(q)
-    forest = g.full_mask()._forest
     f = np.zeros(g.num_edges, dtype=q.dtype)
-    f[list(forest)] = np.einsum("v,vf->f", q, _forest_paths(g, forest))
+    f[list(g._forest)] = np.einsum("v,vf->f", q, _forest_paths(g, g._forest))
     return f
 
 

@@ -105,7 +105,7 @@ class TestGramDet:
         omega = to_omega(x, fam)
         total = sum(abs(np.linalg.det(omega[list(rows), :])) ** 2
                     for rows in itertools.combinations(range(6), 3))
-        assert direct == pytest.approx(total, rel=1e-10)
+        assert direct == pytest.approx(total, rel=1e-10, abs=0.0)
 
     def test_bilinear_continuation_matches_on_positive_reals(self):
         rng = np.random.default_rng(10)

@@ -59,6 +59,16 @@ class TestConstruction:
             assert np.array_equal(back.weights, m.weights)
             assert back.bases == m.bases
 
+    @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+    def test_dtype_follows_R(self, complex_entries):
+        # a real R keeps the kernel, circuits and restrictions real, through JSON too
+        m = _random_matroid(3, complex_entries=complex_entries)
+        dtype = np.complex128 if complex_entries else np.float64
+        for a in (m.matrix, mm.matroid_from_json(mm.matroid_to_json(m)).matrix,
+                  mm.matroid_kernel(m).matrix, m.fundamental_circuit_basis(m.bases[0]),
+                  mm.restricted_kernel_basis(m, range(6))):
+            assert a.dtype == dtype
+
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_weights_refused(self, bad):
@@ -191,7 +201,7 @@ class TestDensities:
             ratio = mm.density_via_circuits(m, t) / mono
             first = mm.density_via_circuits(m, m.bases[0]) / np.prod(
                 g.weights[list(m.bases[0])])
-            assert ratio == pytest.approx(first, rel=1e-10)
+            assert ratio == pytest.approx(first, rel=1e-10, abs=0.0)
 
     def test_density_proportional_to_weight(self):
         m = _random_matroid(8)
@@ -300,12 +310,12 @@ class TestStackedRestriction:
         theta = np.array([[1.0], [2.0], [0.5j]])
         zk = mm.restricted_kernel_basis(m, (0, 2))
         assert np.array_equal(zk, np.eye(3)[:, [0, 2]])
-        assert mm.ratio_constant(m, (0, 2)) == pytest.approx((1.0, 1.0), rel=1e-14)
+        assert mm.ratio_constant(m, (0, 2)) == pytest.approx((1.0, 1.0), rel=1e-14, abs=0.0)
         assert mm.conditional_density(m, (0, 2), ()) == 1.0
         expected = m.weights * np.abs(theta[:, 0]) ** 2
         assert np.allclose(mm.extension_weight(m, theta, np.arange(3)[:, None]), expected,
                            rtol=1e-14, atol=0)
-        assert oracle.matroid_L_sum(m, theta) == pytest.approx(expected.sum(), rel=1e-14)
+        assert oracle.matroid_L_sum(m, theta) == pytest.approx(expected.sum(), rel=1e-14, abs=0.0)
         assert mm.partition_functions(m, theta=theta)["L"] == pytest.approx(
             expected.sum(), rel=1e-12)
 
@@ -336,8 +346,8 @@ class TestRatioConstant:
         t0 = m.bases[0]
         r1, r2 = mm.ratio_constant(m, t0)
         det = np.linalg.det(m.kernel_basis[[i for i in range(m.ground_size) if i not in t0]])
-        assert r1 == pytest.approx(abs(det) ** 2, rel=1e-9)
-        assert r2 == pytest.approx(r1, rel=1e-9)
+        assert r1 == pytest.approx(abs(det) ** 2, rel=1e-9, abs=0.0)
+        assert r2 == pytest.approx(r1, rel=1e-9, abs=0.0)
 
     def test_independent_of_basis_choice(self):
         m = _random_matroid(14)
@@ -361,7 +371,7 @@ class TestRatioConstant:
             extra = [i for i in range(m.ground_size) if i not in m.bases[0]]
             k_set = tuple(sorted(set(m.bases[0]) | {extra[0]}))
             r1, r2 = mm.ratio_constant(m, k_set)
-            assert r1 == pytest.approx(r2, rel=1e-9)
+            assert r1 == pytest.approx(r2, rel=1e-9, abs=0.0)
 
 
 class TestPartitionFunctions:
@@ -374,20 +384,20 @@ class TestPartitionFunctions:
         m = _random_matroid(18)
         pf = mm.partition_functions(m)
         sums = oracle.matroid_basis_sums(m)
-        assert pf["B"] == pytest.approx(sums["B"], rel=1e-9)
-        assert pf["K"] == pytest.approx(sums["K"], rel=1e-9)
+        assert pf["B"] == pytest.approx(sums["B"], rel=1e-9, abs=0.0)
+        assert pf["K"] == pytest.approx(sums["K"], rel=1e-9, abs=0.0)
 
     def test_normalized_basis_equalizes_B_and_K(self):
         m = _random_matroid(19)
         z0 = mm.normalized_kernel_basis(m)
         sums = oracle.matroid_basis_sums(m, z0)
-        assert sums["K"] == pytest.approx(mm.partition_functions(m)["B"], rel=1e-9)
+        assert sums["K"] == pytest.approx(mm.partition_functions(m)["B"], rel=1e-9, abs=0.0)
 
     def test_L_reduces_to_B_for_k_zero(self):
         m = _random_matroid(20)
         empty = np.zeros((m.ground_size, 0))
         pf = mm.partition_functions(m, theta=empty)
-        assert pf["L"] == pytest.approx(pf["B"], rel=1e-12)
+        assert pf["L"] == pytest.approx(pf["B"], rel=1e-12, abs=0.0)
 
     def test_L_matches_weighted_sum(self):
         m = _random_matroid(21)
@@ -396,7 +406,7 @@ class TestPartitionFunctions:
             + 1j * rng.standard_normal((m.ground_size, 1))
         z0 = mm.normalized_kernel_basis(m)
         pf = mm.partition_functions(m, theta=theta)
-        assert pf["L"] == pytest.approx(oracle.matroid_L_sum(m, theta, z0), rel=1e-9)
+        assert pf["L"] == pytest.approx(oracle.matroid_L_sum(m, theta, z0), rel=1e-9, abs=0.0)
 
     def test_circular_triangle_L_enumeration(self, triangle):
         rng = np.random.default_rng(23)
@@ -404,7 +414,7 @@ class TestPartitionFunctions:
         theta = rng.standard_normal((3, 1)).astype(complex)
         z0 = mm.normalized_kernel_basis(m)
         pf = mm.partition_functions(m, theta=theta)
-        assert pf["L"] == pytest.approx(oracle.matroid_L_sum(m, theta, z0), rel=1e-9)
+        assert pf["L"] == pytest.approx(oracle.matroid_L_sum(m, theta, z0), rel=1e-9, abs=0.0)
 
 
 class TestTheoremMeasure:
@@ -580,7 +590,7 @@ class TestPartitionFunctionIdentitiesAtRandomWeights:
         for _ in range(3):
             x = rng.uniform(0.3, 3.0, m.ground_size)
             pf = mm.partition_functions(m, x=x)
-            assert pf["B"] == pytest.approx(scale ** 2 * pf["K"], rel=1e-9)
+            assert pf["B"] == pytest.approx(scale ** 2 * pf["K"], rel=1e-9, abs=0.0)
 
     def test_L_over_K_is_projection_norm(self):
         # the extension polynomial divided by the circuit polynomial equals
@@ -598,7 +608,7 @@ class TestPartitionFunctionIdentitiesAtRandomWeights:
             p_perp = np.eye(m.ground_size) - q @ q.conj().T
             proj = p_perp @ (theta * np.sqrt(x)[:, None])
             norm2 = float(np.linalg.det(proj.conj().T @ proj).real)
-            assert pf["L"] / pf["B"] == pytest.approx(norm2, rel=1e-9)
+            assert pf["L"] / pf["B"] == pytest.approx(norm2, rel=1e-9, abs=0.0)
 
 
 class TestConditioningWarning:

@@ -122,7 +122,7 @@ class TestCycleWeight:
             fundamental_cycle(g, other, e)
             for e in range(g.num_edges) if e not in other.edge_set])
         alt = abs(np.linalg.det(theta.T @ cycles)) ** 2 * kmask.weight_monomial()
-        assert w.value == pytest.approx(alt, rel=1e-12)
+        assert w.value == pytest.approx(alt, rel=1e-12, abs=0.0)
 
     def test_wrong_betti_raises(self, triangle):
         with pytest.raises(ValueError, match="outside the connected support"):
@@ -169,7 +169,7 @@ class TestForestWeight:
             inside = labels == comp
             cuts.append([int(inside[h]) - int(inside[t]) for t, h in g.edges])
         alt = abs(np.linalg.det(phi.T @ np.array(cuts).T)) ** 2 * mask.weight_monomial()
-        assert w.value == pytest.approx(alt, rel=1e-12)
+        assert w.value == pytest.approx(alt, rel=1e-12, abs=0.0)
 
     def test_component_cuts_equal_the_per_edge_definition(self):
         rng = np.random.default_rng(9)
@@ -184,7 +184,7 @@ class TestForestWeight:
         phi = _phi(g, mask.b0 - 1, seed=10)
         w = dg.subgraph_weight(g, MeasureSpec.forest_k(phi), mask)
         alt = abs(np.linalg.det(phi.T @ np.array(expected))) ** 2
-        assert w.topological == pytest.approx(alt, rel=1e-12)
+        assert w.topological == pytest.approx(alt, rel=1e-12, abs=0.0)
 
     def test_cycle_raises(self, triangle):
         with pytest.raises(ValueError, match="outside the forest support"):
@@ -193,6 +193,19 @@ class TestForestWeight:
 
 
 class TestCrsfWeight:
+    @pytest.mark.parametrize("value", [2.0, np.nan], ids=["modulus-2", "nan"])
+    def test_non_unit_connection_is_refused(self, value):
+        # a modulus of 2 would weigh the square |1 - 2^4|^2 = 225, and a NaN nan: the
+        # connection check itself refuses both, on the weight path as on the kernel's
+        g = dg.grid_graph(2, 3)
+        spec = MeasureSpec.crsf(np.full(g.num_edges, value))
+        mask = g.mask(range(6))  # the left square and two pendant edges
+        assert (mask.b0, mask.b1) == (1, 1)
+        with pytest.raises(ValueError, match="unit modulus"):
+            dg.subgraph_weight(g, spec, mask)
+        with pytest.raises(ValueError, match="unit modulus"):
+            dg.build_kernel(g, spec)
+
     def test_trivial_connection_gives_zero(self, triangle):
         g = dg.WeightedGraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
         mask = g.mask([0, 1, 2])
@@ -239,7 +252,7 @@ class TestCrsfWeight:
             mask = g.mask(subset)
             if support(mask, 0, 0):
                 total += dg.subgraph_weight(g, MeasureSpec.crsf(h), mask).value
-        assert lap_det == pytest.approx(total, rel=1e-9)
+        assert lap_det == pytest.approx(total, rel=1e-9, abs=0.0)
 
 
 class TestSubgraphWeight:
@@ -324,7 +337,7 @@ class TestDualTransport:
             comp = dual_inv.mask(set(range(3)) - f.edge_set)
             w_c = dg.subgraph_weight(dual_inv, spec, comp).value
             # dual monomial at inverted weights: x^(complement) / prod(x)
-            assert w_f == pytest.approx(prod_x * w_c, rel=1e-10)
+            assert w_f == pytest.approx(prod_x * w_c, rel=1e-10, abs=0.0)
 
     def test_double_application_is_equivalent(self):
         from detgraph.planar import triangle_embedding
@@ -398,7 +411,7 @@ class TestEdgeOrderInvariance:
         for m in oracle.enumerate_family(g, "connected", k=1):
             w1 = dg.subgraph_weight(g, MeasureSpec.connected_k(theta), m).value
             w2 = dg.subgraph_weight(g2, MeasureSpec.connected_k(theta2), g2.mask(m.indices)).value
-            assert w2 == pytest.approx(w1, rel=1e-10)
+            assert w2 == pytest.approx(w1, rel=1e-10, abs=0.0)
 
 
 class TestSelfLoopsAndMultiEdges:

@@ -222,6 +222,14 @@ def _mixed_instances(count: int):
 
 
 class TestMixedWeight:
+    def test_weight_sum_is_over_the_mixed_family(self):
+        # the (k, l) = (1, 1) family, not the l = 0 one, which sums to 13.94 here
+        g = dg.complete_graph(5)
+        spec = measures.random_spec(g, "mixed", 1, 1, 3)
+        fam = oracle.enumerate_family(g, "mixed", k=1, l=1)
+        total = measures.stack_weight(g, spec, fam.topology, g.weights).sum()
+        assert oracle._weight_sum(g, None, spec) == pytest.approx(total, rel=1e-14, abs=0.0)
+
     def test_weights_equal_kernel_densities(self):
         worst = 0.0
         for g, spec in _mixed_instances(50):

@@ -58,7 +58,7 @@ class TestPsi2:
     def test_triangle_enumeration(self, triangle):
         q = np.array([1.0, -1.0, 0.0])
         assert dg.symanzik_psi2(triangle, triangle.weights, q).real == \
-            pytest.approx(oracle.psi2_sum(triangle, triangle.weights, q), rel=1e-12)
+            pytest.approx(oracle.psi2_sum(triangle, triangle.weights, q), rel=1e-12, abs=0.0)
 
     def test_unbalanced_charge_rejected(self, triangle):
         with pytest.raises(ValueError, match="sum to zero"):
@@ -105,8 +105,8 @@ class TestGeneralizedPolynomials:
         g = square_with_chord
         empty = np.zeros((g.num_edges, 0))
         t = dg.kirchhoff_T(g).real
-        assert dg.generalized_C(g, None, empty).real == pytest.approx(t, rel=1e-12)
-        assert dg.generalized_A(g, None, empty).real == pytest.approx(t, rel=1e-12)
+        assert dg.generalized_C(g, None, empty).real == pytest.approx(t, rel=1e-12, abs=0.0)
+        assert dg.generalized_A(g, None, empty).real == pytest.approx(t, rel=1e-12, abs=0.0)
 
     def test_triangle_k1_dual_basis_form(self, triangle):
         theta = np.zeros((3, 1), dtype=complex)
@@ -139,10 +139,10 @@ class TestGeneralizedPolynomials:
         n = g.num_vertices
         c1 = dg.generalized_C(g, g.weights, theta).real
         c2 = dg.generalized_C(g, lam * g.weights, theta).real
-        assert c2 == pytest.approx(lam ** (n - 1 + 1) * c1, rel=1e-10)
+        assert c2 == pytest.approx(lam ** (n - 1 + 1) * c1, rel=1e-10, abs=0.0)
         a1 = dg.generalized_A(g, g.weights, phi).real
         a2 = dg.generalized_A(g, lam * g.weights, phi).real
-        assert a2 == pytest.approx(lam ** (n - 1 - 1) * a1, rel=1e-10)
+        assert a2 == pytest.approx(lam ** (n - 1 - 1) * a1, rel=1e-10, abs=0.0)
 
     def test_quadratic_scaling_in_forms(self, square_with_chord):
         g = square_with_chord
@@ -150,7 +150,7 @@ class TestGeneralizedPolynomials:
         lam = 2.5 - 1.5j
         c1 = dg.generalized_C(g, None, theta).real
         c2 = dg.generalized_C(g, None, lam * theta).real
-        assert c2 == pytest.approx(abs(lam) ** 2 * c1, rel=1e-10)
+        assert c2 == pytest.approx(abs(lam) ** 2 * c1, rel=1e-10, abs=0.0)
 
 
 class TestEdgelessGraph:
@@ -174,8 +174,8 @@ class TestRatioIdentities:
         empty = np.zeros((g.num_edges, 0))
         rc = polynomials.ratio_identity_connected(g, None, empty)
         ra = polynomials.ratio_identity_forest(g, None, empty)
-        assert rc.lhs == pytest.approx(1.0, rel=1e-10)
-        assert rc.rhs == pytest.approx(1.0, rel=1e-10)
+        assert rc.lhs == pytest.approx(1.0, rel=1e-10, abs=0.0)
+        assert rc.rhs == pytest.approx(1.0, rel=1e-10, abs=0.0)
         assert ra.rel_error < 1e-10
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -223,7 +223,7 @@ class TestGreenPairing:
             x = np.asarray(g.weights)
             lhs = dg.symanzik_psi2(g, x, q).real / dg.symanzik_psi1(g, x).real
             rhs = dg.green_height_pairing(g, x, q)
-            assert rhs == pytest.approx(lhs, rel=1e-9)
+            assert rhs == pytest.approx(lhs, rel=1e-9, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_weight_refused(self):
@@ -243,7 +243,7 @@ class TestGreenPairing:
         keep = [0, 1, 3]  # pin vertex 2 instead
         u = np.zeros(4)
         u[keep] = np.linalg.solve(lap[np.ix_(keep, keep)], q[keep])
-        assert q @ u == pytest.approx(expected, rel=1e-10)
+        assert q @ u == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 class TestTorusVolume:
@@ -262,7 +262,7 @@ class TestTorusVolume:
         g = dg.WeightedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
                              rng.uniform(0.5, 2.0, 4))
         expected = np.prod(g.weights) ** -0.5 * dg.kirchhoff_T(g).real
-        assert dg.torus_volume(g) == pytest.approx(expected, rel=1e-9)
+        assert dg.torus_volume(g) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("weight", [0.0, -1.0])
@@ -317,7 +317,7 @@ class TestPlanarDualityPolynomials:
         dual_inv = pd.dual.inverted_weights()
         lhs = dg.generalized_A(g, None, phi).real
         rhs = np.prod(g.weights) * dg.generalized_C(dual_inv, None, phi).real
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+        assert lhs == pytest.approx(rhs, rel=1e-10, abs=0.0)
 
 
 class TestComplexContinuation:
@@ -439,7 +439,8 @@ class TestLaplacianRoutes:
         d = g.boundary.astype(float)
         lap = (d / g.weights) @ d.T
         expected = q[1:] @ np.linalg.solve(lap[1:, 1:], q[1:])
-        assert dg.green_height_pairing(g, g.weights, q) == pytest.approx(expected, rel=1e-12)
+        assert dg.green_height_pairing(g, g.weights, q) == pytest.approx(expected, rel=1e-12,
+                                                                         abs=0.0)
 
     @pytest.mark.parametrize("side", [3, 8])
     def test_torus_volume_and_ratio_right_hand_sides(self, side):
@@ -448,7 +449,8 @@ class TestLaplacianRoutes:
         g = dg.WeightedGraph(grid.num_vertices, grid.edges, rng.uniform(0.5, 2.0, grid.num_edges))
         x, z = g.weights, dg.cycle_space_basis(g)
         fam = np.hstack([linalg.j_x_columns(x, z), dg.cut_space_basis(g)])
-        assert dg.torus_volume(g) == pytest.approx(np.sqrt(linalg.gram_det(x, fam)), rel=1e-12)
+        assert dg.torus_volume(g) == pytest.approx(np.sqrt(linalg.gram_det(x, fam)),
+                                                   rel=1e-12, abs=0.0)
         frame = linalg.weighted_frame(x, z)
         for k in range(3):
             theta = measures.random_theta(g, k, 1) * np.exp(1j * rng.uniform(0, 6, k))
